@@ -6,22 +6,41 @@ coboundary on Hom(A^(tensor n), A), and does its own dense mod-p row
 reduction with numpy.  Agreement of its dimensions with the two primary
 routes is one of the acceptance checks.
 
+A is Z^2-graded by deg y^u x^v = (u, v), and the coboundary preserves the
+internal bidegree deg(value) - sum deg(arguments) of a basis cochain.  The
+rank of the coboundary is therefore computed as the sum of the ranks of its
+blocks, one per internal bidegree; every entry is checked to lie in its
+block, so a wrong grading raises instead of changing a rank.
+
 Row reduction works in float64; a product of two residues is at most
-(p-1)^2 and an inner product accumulates at most ncols of them, far below
-2^53, so the arithmetic is exact before each reduction mod p.
+(p-1)^2 and an inner product accumulates at most ncols of them, so the
+arithmetic is exact before each reduction mod p while (p-1)^2 * ncols < 2^53.
+Every reducer checks this bound for its own width and refuses to run past it.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
+
 import numpy as np
 
-from .scalars import smallest_prime_modulus
+from .scalars import _is_prime, smallest_prime_modulus, smallest_root_of_unity
 
 DEFAULT_SIZE_CAP = 100_000
+_EXACT_LIMIT = 2**53
 
 
 class SizeError(RuntimeError):
     """Cochain space exceeds the configured dimension cap."""
+
+
+def _check_exact(p: int, ncols: int) -> None:
+    """Raise unless float64 row reduction mod p over ncols columns is exact."""
+    if (p - 1) ** 2 * max(ncols, 1) >= _EXACT_LIMIT:
+        raise ValueError(
+            f"float64 reduction mod {p} over {ncols} columns is inexact: "
+            "(p-1)^2 * ncols must stay below 2^53"
+        )
 
 
 class _RowReducer:
@@ -34,6 +53,7 @@ class _RowReducer:
     """
 
     def __init__(self, ncols: int, p: int):
+        _check_exact(p, ncols)
         self.ncols = ncols
         self.p = p
         self.basis = np.zeros((0, ncols), dtype=np.float64)
@@ -91,34 +111,68 @@ class _RowReducer:
         return block[0]
 
 
-class _SparseRows:
-    """Row-sparse matrix mod p: rows[i] is a list of (col, value) pairs."""
+def _feed(reducer: _RowReducer, rows, batch: int) -> _RowReducer:
+    """Feed sparse rows, lists of (col, value) pairs, to the reducer in dense
+    batches of at most `batch` rows; empty rows are skipped."""
+    block = np.zeros((min(batch, len(rows)), reducer.ncols), dtype=np.float64)
+    filled = 0
+    for row in rows:
+        if not row:
+            continue
+        for col, val in row:
+            block[filled, col] = val % reducer.p
+        filled += 1
+        if filled == len(block):
+            reducer.add_batch(block)
+            block[:] = 0.0
+            filled = 0
+    if filled:
+        reducer.add_batch(block[:filled])
+    return reducer
 
-    def __init__(self, nrows, ncols, rows, p):
+
+class _SparseRows:
+    """Row-sparse matrix mod p: rows[i] is a list of (col, value) pairs.
+
+    row_weights[i] and col_weights[j] grade the rows and columns; every
+    entry must join a row and a column of equal weight.
+    """
+
+    def __init__(self, nrows, ncols, rows, p, row_weights, col_weights):
         self.nrows = nrows
         self.ncols = ncols
         self.rows = rows
         self.p = p
+        self.row_weights = row_weights
+        self.col_weights = col_weights
         self._rank = None
 
-    def rank(self, batch=2048) -> int:
+    def rank(self, batch=64) -> int:
+        """Sum of the ranks of the blocks of equal row and column weight."""
         if self._rank is None:
-            reducer = _RowReducer(self.ncols, self.p)
-            block = np.zeros((batch, self.ncols), dtype=np.float64)
-            filled = 0
-            for row in self.rows:
+            local = []  # index of each column among the columns of its weight
+            widths = defaultdict(int)
+            for w in self.col_weights:
+                local.append(widths[w])
+                widths[w] += 1
+            blocks = defaultdict(list)
+            for i, row in enumerate(self.rows):
                 if not row:
                     continue
+                w = self.row_weights[i]
+                block_row = []
                 for col, val in row:
-                    block[filled, col] = val % self.p
-                filled += 1
-                if filled == batch:
-                    reducer.add_batch(block)
-                    block[:] = 0.0
-                    filled = 0
-            if filled:
-                reducer.add_batch(block[:filled])
-            self._rank = reducer.rank
+                    if self.col_weights[col] != w:
+                        raise RuntimeError(
+                            f"entry ({i}, {col}) joins row weight {w} "
+                            f"to column weight {self.col_weights[col]}"
+                        )
+                    block_row.append((local[col], val))
+                blocks[w].append(block_row)
+            self._rank = sum(
+                _feed(_RowReducer(widths[w], self.p), rows, batch).rank
+                for w, rows in blocks.items()
+            )
         return self._rank
 
     def apply(self, vec):
@@ -146,38 +200,21 @@ class BarComplex:
     """The full cochain complex Hom(A^(tensor n), A) over F_p for one a."""
 
     def __init__(self, a: int, modulus: int | None = None, size_cap: int = DEFAULT_SIZE_CAP):
+        if a < 2:
+            raise ValueError("a must be at least 2")
         self.a = a
         self.p = modulus if modulus is not None else smallest_prime_modulus(a)
+        if not _is_prime(self.p):
+            raise ValueError(f"modulus {self.p} is not prime")
         if (self.p - 1) % a != 0:
             raise ValueError(f"modulus {self.p} admits no root of order {a}")
+        _check_exact(self.p, 1)
         self.size_cap = size_cap
         self.dim = a * a  # dim of A
-        self.q = self._find_root()
+        self.q = smallest_root_of_unity(self.p, a)
         self._qpow = [pow(self.q, k, self.p) for k in range(a)]
         self._diff_cache: dict[int, _SparseRows] = {}
         self._rank_cache: dict[int, int] = {}
-
-    def _find_root(self) -> int:
-        a, p = self.a, self.p
-        if a == 1:
-            return 1
-        factors = []
-        m = a
-        d = 2
-        while d * d <= m:
-            if m % d == 0:
-                factors.append(d)
-                while m % d == 0:
-                    m //= d
-            d += 1
-        if m > 1:
-            factors.append(m)
-        for g in range(2, p):
-            if pow(g, a, p) != 1:
-                continue
-            if all(pow(g, a // f, p) != 1 for f in factors):
-                return g
-        raise ValueError("no primitive root found")
 
     # -- monomials: index u*a + v stands for y^u x^v ------------------------
 
@@ -217,6 +254,21 @@ class BarComplex:
         for k in reversed(range(len(tup))):
             idx = idx * self.dim + tup[k]
         return idx
+
+    def _weights(self, n: int) -> list:
+        """Internal bidegree deg(value) - sum deg(arguments) of each degree-n
+        basis cochain, indexed like the cochain vectors."""
+        a, d = self.a, self.dim
+        index = np.arange(self.cochain_dim(n))
+        u = np.zeros_like(index)
+        v = np.zeros_like(index)
+        # digit 0 of the index is the value monomial, digits 1..n the arguments
+        for k in range(n + 1):
+            digit = index // d**k % d
+            sign = 1 if k == 0 else -1
+            u += sign * (digit // a)
+            v += sign * (digit % a)
+        return list(zip(u.tolist(), v.tolist()))
 
     def bar_differential(self, n: int) -> _SparseRows:
         """Coboundary from degree n to degree n+1 on the tuple bases.
@@ -273,7 +325,7 @@ class BarComplex:
                 row = [(c, v) for c, v in entries.items() if v]
                 if row:
                     rows[base + r] = row
-        result = _SparseRows(nrows, ncols, rows, p)
+        result = _SparseRows(nrows, ncols, rows, p, self._weights(n + 1), self._weights(n))
         self._diff_cache[n] = result
         return result
 
@@ -325,21 +377,7 @@ class BarComplex:
     def cocycle_basis(self, n: int):
         """Dense kernel basis vectors of the degree-n coboundary."""
         diff = self.bar_differential(n)
-        reducer = _RowReducer(diff.ncols, self.p)
-        block = np.zeros((2048, diff.ncols), dtype=np.float64)
-        filled = 0
-        for row in diff.rows:
-            if not row:
-                continue
-            for col, val in row:
-                block[filled, col] = val % self.p
-            filled += 1
-            if filled == block.shape[0]:
-                reducer.add_batch(block)
-                block[:] = 0.0
-                filled = 0
-        if filled:
-            reducer.add_batch(block[:filled])
+        reducer = _feed(_RowReducer(diff.ncols, self.p), diff.rows, 2048)
         pivot_set = set(reducer.pivots)
         vectors = []
         for free in range(diff.ncols):
@@ -366,19 +404,7 @@ class BarComplex:
         for i, row in enumerate(diff.rows):
             for col, val in row:
                 cols.setdefault(col, []).append((i, val))
-        block = np.zeros((512, self.cochain_dim(n)), dtype=np.float64)
-        filled = 0
-        for col in sorted(cols):
-            for i, val in cols[col]:
-                block[filled, i] = val % self.p
-            filled += 1
-            if filled == block.shape[0]:
-                reducer.add_batch(block)
-                block[:] = 0.0
-                filled = 0
-        if filled:
-            reducer.add_batch(block[:filled])
-        return reducer
+        return _feed(reducer, [cols[col] for col in sorted(cols)], 512)
 
     def span_dimension_mod_coboundaries(self, cochains, n: int) -> int:
         """Dimension of the span of the given degree-n cocycles in cohomology."""

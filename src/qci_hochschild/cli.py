@@ -197,10 +197,11 @@ def cmd_verify(args) -> int:
 
 def cmd_oracle(args) -> int:
     cap = int(os.environ.get(ENV_SIZE_CAP, DEFAULT_SIZE_CAP))
+    # an unusable --a or --modulus raises here and is a usage error
+    oracle = BarComplex(args.a, modulus=args.modulus, size_cap=cap)
     try:
-        oracle = BarComplex(args.a, modulus=args.modulus, size_cap=cap)
         rows = oracle.dimension_rows(args.max_degree)
-    except (SizeError, NoRootError, ValueError) as exc:
+    except (SizeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     emit(

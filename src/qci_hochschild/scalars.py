@@ -9,6 +9,7 @@ anywhere.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -450,6 +451,34 @@ def smallest_prime_modulus(a: int) -> int:
     return p
 
 
+def smallest_root_of_unity(p: int, a: int) -> int:
+    """Smallest residue of multiplicative order exactly a modulo the prime p.
+
+    The a-th roots of unity in F_p form one cyclic group, so every element
+    of order a is a primitive power of h = g^((p-1)/a) for the first g whose
+    h has order a.  Taking the least of those powers gives the same answer
+    as a linear scan for the least element of order a, in O(a) steps.
+    """
+    if (p - 1) % a != 0:
+        raise NoRootError(f"F_{p} has no element of multiplicative order {a}")
+    if a == 1:
+        return 1
+    factors = _prime_factors(a)
+    for g in range(2, p):
+        h = pow(g, (p - 1) // a, p)
+        if all(pow(h, a // f, p) != 1 for f in factors):
+            break
+    else:
+        raise NoRootError(f"no element of order {a} in F_{p}")
+    best = h
+    power = h
+    for k in range(2, a):
+        power = power * h % p
+        if math.gcd(k, a) == 1 and power < best:
+            best = power
+    return best
+
+
 class PrimeField:
     """F_p with a distinguished primitive root of order root_order."""
 
@@ -467,16 +496,7 @@ class PrimeField:
 
     @property
     def root(self):
-        a = self.root_order
-        if a == 1:
-            return PrimeFieldScalar(self, 1)
-        factors = _prime_factors(a)
-        for g in range(2, self.modulus):
-            if pow(g, a, self.modulus) != 1:
-                continue
-            if all(pow(g, a // f, self.modulus) != 1 for f in factors):
-                return PrimeFieldScalar(self, g)
-        raise NoRootError(f"no element of order {a} in F_{self.modulus}")
+        return PrimeFieldScalar(self, smallest_root_of_unity(self.modulus, self.root_order))
 
     def zero(self):
         return PrimeFieldScalar(self, 0)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qci_hochschild.algebra import QuantumCompleteIntersection
-from qci_hochschild.bar import BarCochain, BarComplex, SizeError
+from qci_hochschild.bar import BarCochain, BarComplex, SizeError, _RowReducer, _SparseRows
 from qci_hochschild.cohomology import hh_dimension_ext
 from qci_hochschild.scalars import prime_field_for
 
@@ -41,11 +41,44 @@ def test_dimensions_a2():
 
 
 def test_dimensions_match_primary_route():
-    for a in (2, 3):
+    for a, top in ((2, 3), (3, 2), (4, 2)):
         B = BarComplex(a)
         A = QuantumCompleteIntersection(a, prime_field_for(a))
-        for n in range(4 if a == 2 else 3):
+        for n in range(top + 1):
             assert B.bar_hh_dimension(n) == hh_dimension_ext(A, n), (a, n)
+
+
+def full_rank(diff, batch=256):
+    """Reference: reduce the whole dense coboundary, ignoring the grading."""
+    dense = np.zeros((diff.nrows, diff.ncols), dtype=np.float64)
+    for i, row in enumerate(diff.rows):
+        for col, val in row:
+            dense[i, col] = val % diff.p
+    reducer = _RowReducer(diff.ncols, diff.p)
+    for start in range(0, diff.nrows, batch):
+        reducer.add_batch(dense[start : start + batch])
+    return reducer.rank
+
+
+@pytest.mark.parametrize(
+    "a, modulus, top", [(2, None, 4), (2, 5, 4), (3, None, 2), (3, 13, 2)]
+)
+def test_block_rank_matches_full_reduction(a, modulus, top):
+    B = BarComplex(a, modulus=modulus)
+    for n in range(top + 1):
+        diff = B.bar_differential(n)
+        assert diff.rank() == full_rank(diff), (a, B.p, n)
+
+
+def test_grading_violation_raises():
+    d = BarComplex(2).bar_differential(1)
+    rows = [list(row) for row in d.rows]
+    i = next(i for i, row in enumerate(rows) if row)
+    stray = next(c for c in range(d.ncols) if d.col_weights[c] != d.row_weights[i])
+    rows[i].append((stray, 1))
+    bad = _SparseRows(d.nrows, d.ncols, rows, d.p, d.row_weights, d.col_weights)
+    with pytest.raises(RuntimeError, match="weight"):
+        bad.rank()
 
 
 def test_size_cap():
@@ -56,6 +89,26 @@ def test_size_cap():
 def test_modulus_must_admit_root():
     with pytest.raises(ValueError):
         BarComplex(3, modulus=5)
+
+
+@pytest.mark.parametrize(
+    "a, modulus, message",
+    [(2, 9, "not prime"), (2, 2147483647, "inexact"), (1, 2, "at least 2")],
+)
+def test_unusable_parameters_rejected(a, modulus, message):
+    with pytest.raises(ValueError, match=message):
+        BarComplex(a, modulus=modulus)
+
+
+def test_row_reducer_enforces_exactness_bound():
+    # (p-1)^2 * ncols < 2^53 holds at ncols = 1 and fails at ncols = 2
+    p = 90000049
+    assert _RowReducer(1, p).ncols == 1
+    with pytest.raises(ValueError, match="inexact"):
+        _RowReducer(2, p)
+    with pytest.raises(ValueError, match="inexact"):
+        _RowReducer(2**21, 65537)
+    assert _RowReducer(2**21 - 1, 65537).rank == 0
 
 
 def test_cup_with_unit():
@@ -118,7 +171,6 @@ def test_row_reducer_against_exact_rank():
     # the dense mod-p reducer agrees with the exact sparse elimination
     import random
 
-    from qci_hochschild.bar import _RowReducer
     from qci_hochschild.linalg import SparseMatrix
 
     rng = random.Random(31)

@@ -120,6 +120,32 @@ def test_oracle_cap_error(capsys, monkeypatch):
     assert "exceeds" in captured.err
 
 
+def test_oracle_composite_modulus_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["oracle", "--a", "2", "--max-degree", "3", "--modulus", "9"])
+    assert exc.value.code == 2
+    assert "modulus 9 is not prime" in capsys.readouterr().err
+
+
+def test_oracle_inexact_modulus_is_usage_error(capsys):
+    # (p-1)^2 alone exceeds 2^53, so not even one column reduces exactly
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["oracle", "--a", "2", "--max-degree", "1", "--modulus", "2147483647"])
+    assert exc.value.code == 2
+    assert "2147483647" in capsys.readouterr().err
+
+
+def test_oracle_block_too_wide_for_modulus(capsys):
+    # degree-0 blocks are one column wide and reduce exactly at this modulus;
+    # degree-1 blocks are wider and must be refused, not reduced inexactly
+    code, out = run(capsys, "oracle", "--a", "2", "--max-degree", "0", "--modulus", "90000049")
+    assert code == 0
+    assert [row["bar"] for row in json.loads(out)["rows"]] == [2]
+    code = cli.main(["oracle", "--a", "2", "--max-degree", "1", "--modulus", "90000049"])
+    assert code == 1
+    assert "inexact" in capsys.readouterr().err
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["dims"])  # missing --a

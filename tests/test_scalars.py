@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from qci_hochschild.scalars import (
     primitive_root,
     rational_field,
     smallest_prime_modulus,
+    smallest_root_of_unity,
 )
 
 
@@ -97,6 +99,34 @@ def test_primitive_root_prime5_order4_by_exhaustion():
     candidates = sorted(g for g, k in orders.items() if k == 4)
     assert candidates[0] == 2
     assert prime_field(5, 4).root.value == 2
+
+
+def multiplicative_order(g, p):
+    k, v = 1, g % p
+    while v != 1:
+        v = v * g % p
+        k += 1
+    return k
+
+
+def test_root_search_matches_linear_scan():
+    for a in range(2, 13):
+        primes = [p for p in range(a + 1, 2000, a) if all(p % d for d in range(2, p))][:5]
+        for p in primes:
+            scan = next(g for g in range(2, p) if multiplicative_order(g, p) == a)
+            assert smallest_root_of_unity(p, a) == scan, (a, p)
+
+
+def test_root_search_is_fast_for_a_31_bit_prime():
+    p = 2147483647  # p - 1 = 2 * 3^2 * 7 * 11 * 31 * 151 * 331
+    t0 = time.perf_counter()
+    roots = {a: smallest_root_of_unity(p, a) for a in (2, 3, 7, 9)}
+    assert time.perf_counter() - t0 < 1.0
+    assert roots[2] == p - 1
+    for a, g in roots.items():
+        assert pow(g, a, p) == 1
+        assert all(pow(g, k, p) != 1 for k in range(1, a))
+    assert prime_field(p, 2).root.value == p - 1
 
 
 def test_no_root_error():
