@@ -57,6 +57,24 @@ def make_field(name: str, a: int):
     raise argparse.ArgumentTypeError(f"unknown backend {name!r}")
 
 
+def nonnegative_int(text: str) -> int:
+    """argparse type for degrees and bounds: an integer >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {value}")
+    return value
+
+
+def basis_index(name: str, index: int, degree_name: str, degree: int) -> int:
+    """Check that index picks one of the 2*degree + 2 named classes."""
+    size = 2 * degree + 2
+    if not 0 <= index < size:
+        raise ValueError(
+            f"{name} must be in 0..{size - 1} for {degree_name} {degree}, got {index}"
+        )
+    return index
+
+
 def make_algebra(args) -> QuantumCompleteIntersection:
     backend = args.backend or os.environ.get(ENV_BACKEND, "cyclotomic")
     return QuantumCompleteIntersection(args.a, make_field(backend, args.a))
@@ -118,9 +136,11 @@ def cmd_basis(args) -> int:
 
 
 def cmd_product(args) -> int:
+    i = basis_index("--i", args.i, "--deg1", args.deg1)
+    j = basis_index("--j", args.j, "--deg2", args.deg2)
     A = make_algebra(args)
-    left = standard_basis(A, args.deg1)[args.i]
-    right = standard_basis(A, args.deg2)[args.j]
+    left = standard_basis(A, args.deg1)[i]
+    right = standard_basis(A, args.deg2)[j]
     cls, coords = yoneda_product(left, right)
     target = standard_basis(A, args.deg1 + args.deg2)
     out = {
@@ -252,26 +272,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dims", help="dimension table by both routes")
     common(p)
-    p.add_argument("--max-degree", type=int, default=12)
+    p.add_argument("--max-degree", type=nonnegative_int, default=12)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_dims)
 
     p = sub.add_parser("basis", help="named cocycle basis of an even degree")
     common(p)
-    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--degree", type=nonnegative_int, required=True)
     p.set_defaults(func=cmd_basis)
 
     p = sub.add_parser("product", help="product of two scalar basis classes")
     common(p)
-    p.add_argument("--deg1", type=int, required=True)
+    p.add_argument("--deg1", type=nonnegative_int, required=True)
     p.add_argument("--i", type=int, required=True)
-    p.add_argument("--deg2", type=int, required=True)
+    p.add_argument("--deg2", type=nonnegative_int, required=True)
     p.add_argument("--j", type=int, required=True)
     p.set_defaults(func=cmd_product)
 
     p = sub.add_parser("table", help="full product table of the scalar classes")
     common(p)
-    p.add_argument("--max-degree", type=int, default=8)
+    p.add_argument("--max-degree", type=nonnegative_int, default=8)
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("verify", help="run a verification suite")
@@ -279,20 +299,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--suite", choices=("liftings", "relations", "table"), required=True
     )
-    p.add_argument("--t-max", type=int, default=2)
-    p.add_argument("--s-max", type=int, default=6)
-    p.add_argument("--max-degree", type=int, default=8)
+    p.add_argument("--t-max", type=nonnegative_int, default=2)
+    p.add_argument("--s-max", type=nonnegative_int, default=6)
+    p.add_argument("--max-degree", type=nonnegative_int, default=8)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("oracle", help="independent dimension table over F_p")
     p.add_argument("--a", type=int, required=True)
-    p.add_argument("--max-degree", type=int, required=True)
+    p.add_argument("--max-degree", type=nonnegative_int, required=True)
     p.add_argument("--modulus", type=int, default=None)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("dump-resolution", help="print differential columns as text")
     common(p)
-    p.add_argument("--max-degree", type=int, default=4)
+    p.add_argument("--max-degree", type=nonnegative_int, default=4)
     p.add_argument(
         "--variant",
         choices=(GENERAL, "simplified-a2", "simplified-a3plus"),

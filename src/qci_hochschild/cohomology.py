@@ -356,6 +356,32 @@ class ExpressedCocycle:
         return not any(self.coordinates)
 
 
+def _express_solver(A, degree, basis) -> SparseMatrix:
+    """[named basis | coboundaries] in an even degree, built once per context.
+
+    The matrix keeps its factorization, so every later express in this
+    degree only applies stored row operations.
+    """
+    key = ("expresssolver", degree)
+    cached = A._cache.get(key)
+    if cached is not None:
+        return cached
+    nbasis = len(basis)
+    entries = {}
+    for jcol, cls in enumerate(basis):
+        for row, c in cls.representative.to_vector().items():
+            entries[(row, jcol)] = c
+    ncols = nbasis
+    if degree >= 2:
+        hom_prev = hom_differential(A, degree)
+        for (row, col), c in hom_prev.entries.items():
+            entries[(row, nbasis + col)] = c
+        ncols += hom_prev.cols
+    solver = SparseMatrix((degree + 1) * A.dim, ncols, entries, A.field)
+    A._cache[key] = solver
+    return solver
+
+
 def express(A: QuantumCompleteIntersection, cochain: Cochain) -> ExpressedCocycle:
     """Write an even-degree cocycle over the named basis, with certificate.
 
@@ -371,18 +397,7 @@ def express(A: QuantumCompleteIntersection, cochain: Cochain) -> ExpressedCocycl
         raise NotCocycleError(f"cochain of degree {degree} is not a cocycle")
     basis = standard_basis(A, degree)
     nbasis = len(basis)
-    entries = {}
-    for jcol, cls in enumerate(basis):
-        for row, c in cls.representative.to_vector().items():
-            entries[(row, jcol)] = c
-    ncols = nbasis
-    if degree >= 2:
-        hom_prev = hom_differential(A, degree)
-        for (row, col), c in hom_prev.entries.items():
-            entries[(row, nbasis + col)] = c
-        ncols += hom_prev.cols
-    solver = SparseMatrix((degree + 1) * A.dim, ncols, entries, A.field)
-    solution = solver.solve(vec)
+    solution = _express_solver(A, degree, basis).solve(vec)
     if solution is None:
         raise NotCocycleError("cocycle failed to decompose over basis + coboundaries")
     coords = [solution.get(j, A.field.zero()) for j in range(nbasis)]

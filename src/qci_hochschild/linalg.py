@@ -117,6 +117,8 @@ class SparseMatrix:
         self.entries = {k: v for k, v in entries.items() if v}
         self.field = field
         self._rref_cache = None
+        self._factor_cache = None
+        self._col_cache = None
 
     @classmethod
     def from_dense(cls, data, field):
@@ -150,10 +152,7 @@ class SparseMatrix:
         return self._rref_cache
 
     def rank(self) -> int:
-        pivots, rows = self._rref()
-        r = len(pivots)
-        assert r + (self.cols - r) == self.cols  # rank-nullity bookkeeping
-        return r
+        return len(self._rref()[0])
 
     def kernel_basis(self) -> Subspace:
         """Canonical basis of the right null space; dim = cols - rank."""
@@ -181,7 +180,7 @@ class SparseMatrix:
         for j, x in vec.items():
             if not x:
                 continue
-            for (i, jj), v in self._columns_of(j):
+            for i, v in self._columns_of(j):
                 nv = out.get(i)
                 nv = v * x if nv is None else nv + v * x
                 if nv:
@@ -191,38 +190,63 @@ class SparseMatrix:
         return out
 
     def _columns_of(self, j):
-        cache = getattr(self, "_col_cache", None)
-        if cache is None:
+        if self._col_cache is None:
             cache = [[] for _ in range(self.cols)]
             for (i, jj), v in self.entries.items():
-                cache[jj].append(((i, jj), v))
+                cache[jj].append((i, v))
             self._col_cache = cache
-        return cache[j]
+        return self._col_cache[j]
+
+    def _factor(self):
+        """Row operations E with E M in RREF, from one reduction of [M | I].
+
+        Returns (pivots, by_input): pivots[k] is the pivot column of row k of
+        E M, or None when that row of E is a left null vector of M; by_input[i]
+        lists the nonzero entries (k, E[k][i]) of column i of E.
+        """
+        if self._factor_cache is None:
+            one = self.field.one()
+            aug = self.row_dicts()
+            for i, row in enumerate(aug):
+                row[self.cols + i] = one
+            pivots, rows = _rref(aug, self.cols + self.rows)
+            by_input = [[] for _ in range(self.rows)]
+            for k, row in enumerate(rows):
+                for c, v in row.items():
+                    if c >= self.cols:
+                        by_input[c - self.cols].append((k, v))
+            self._factor_cache = (
+                [col if col < self.cols else None for col in pivots],
+                by_input,
+            )
+        return self._factor_cache
 
     def solve(self, b):
-        """Some x with M x = b (free variables zero), or None if inconsistent."""
-        aug = self.row_dicts()
-        bcol = self.cols
-        for i, v in b.items():
-            if v:
-                aug[i][bcol] = v
-        pivots, rows = _rref(aug, self.cols + 1)
-        x = {}
-        for col, row in zip(pivots, rows):
-            if col == bcol:
-                return None
-            v = row.get(bcol)
-            if v:
-                x[col] = v
-        return x
+        """Some x with M x = b (free variables zero), or None if inconsistent.
 
-    def transpose(self):
-        return SparseMatrix(
-            self.cols,
-            self.rows,
-            {(j, i): v for (i, j), v in self.entries.items()},
-            self.field,
-        )
+        The first call factors M; every later call only applies the stored
+        row operations to b.  x is the unique solution whose free variables
+        are zero, so it equals what reducing [M | b] would give.
+        """
+        pivots, by_input = self._factor()
+        acc = {}
+        for i, v in b.items():
+            if not v:
+                continue
+            if not 0 <= i < self.rows:
+                raise ValueError(f"right-hand side index {i} outside 0..{self.rows - 1}")
+            for k, e in by_input[i]:
+                prev = acc.get(k)
+                acc[k] = e * v if prev is None else prev + e * v
+        x = {}
+        for k in sorted(acc):
+            v = acc[k]
+            if not v:
+                continue
+            if pivots[k] is None:
+                return None
+            x[pivots[k]] = v
+        return x
 
     def __repr__(self):
         return f"SparseMatrix({self.rows}x{self.cols}, nnz={len(self.entries)})"

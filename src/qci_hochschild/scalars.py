@@ -445,6 +445,8 @@ def _prime_factors(n: int):
 
 def smallest_prime_modulus(a: int) -> int:
     """Smallest prime p with p = 1 (mod a)."""
+    if a < 2:
+        raise ValueError("a must be at least 2")
     p = a + 1
     while not (_is_prime(p) and p % a == 1):
         p += a

@@ -164,6 +164,51 @@ def test_invalid_prime_backend_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
+def test_prime_backend_order_one_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["dims", "--a", "1", "--backend", "prime"])
+    assert exc.value.code == 2
+    assert "a must be at least 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "index, message",
+    [
+        (["--i", "-1", "--j", "0"], "--i must be in 0..5 for --deg1 2, got -1"),
+        (["--i", "0", "--j", "6"], "--j must be in 0..5 for --deg2 2, got 6"),
+        (["--i", "99", "--j", "0"], "--i must be in 0..5 for --deg1 2, got 99"),
+    ],
+)
+def test_product_index_out_of_range_is_usage_error(capsys, index, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["product", "--a", "3", "--deg1", "2", "--deg2", "2", *index])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dims", "--a", "3", "--max-degree", "-1"],
+        ["basis", "--a", "3", "--degree", "-2"],
+        ["product", "--a", "3", "--deg1", "-2", "--i", "0", "--deg2", "2", "--j", "0"],
+        ["product", "--a", "3", "--deg1", "2", "--i", "0", "--deg2", "-2", "--j", "0"],
+        ["table", "--a", "3", "--max-degree", "-1"],
+        ["verify", "--a", "3", "--suite", "table", "--max-degree", "-1"],
+        ["verify", "--a", "3", "--suite", "liftings", "--t-max", "-1"],
+        ["verify", "--a", "3", "--suite", "liftings", "--s-max", "-1"],
+        ["oracle", "--a", "3", "--max-degree", "-1"],
+        ["dump-resolution", "--a", "3", "--max-degree", "-1"],
+    ],
+)
+def test_negative_degree_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "expected an integer >= 0, got -" in err
+
+
 def test_dump_resolution(capsys):
     code, out = run(capsys, "dump-resolution", "--a", "2", "--max-degree", "3")
     assert code == 0

@@ -1,6 +1,9 @@
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qci_hochschild.algebra import QuantumCompleteIntersection, center_basis
 from qci_hochschild.cohomology import (
@@ -287,3 +290,52 @@ def test_express_rejects_non_cocycle():
     bad = Cochain(A, 2, [A.x(), A.zero(), A.zero()])
     with pytest.raises(NotCocycleError):
         express(A, bad)
+
+
+@functools.lru_cache(maxsize=None)
+def shared(a, backend):
+    """One context per (a, backend), so its cached solvers see many inputs."""
+    return make(a, backend)
+
+
+def add_scaled(out, vec, c):
+    for k, v in vec.items():
+        nv = out.get(k, c * 0) + c * v
+        if nv:
+            out[k] = nv
+        else:
+            out.pop(k, None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([(2, "cyclotomic"), (2, "prime"), (3, "cyclotomic"),
+                     (3, "prime"), (5, "cyclotomic"), (5, "prime")]),
+    st.sampled_from([0, 2, 4]),
+    st.data(),
+)
+def test_express_round_trip(case, degree, data):
+    """Named classes plus a coboundary come back as their coordinates + certificate."""
+    A = shared(*case)
+    F = A.field
+    small = st.integers(-3, 3)
+    basis = standard_basis(A, degree)
+    coeffs = [F.from_int(data.draw(small)) for _ in basis]
+    vec = {}
+    for c, cls in zip(coeffs, basis):
+        add_scaled(vec, cls.representative.to_vector(), c)
+    if degree:
+        delta = hom_differential(A, degree)
+        support = data.draw(st.lists(st.integers(0, delta.cols - 1), max_size=8))
+        rho = {j: F.from_int(data.draw(small)) for j in support}
+        add_scaled(vec, delta.apply({j: v for j, v in rho.items() if v}), F.one())
+    out = express(A, Cochain.from_vector(A, degree, vec))
+    assert out.coordinates == coeffs
+    rebuilt = {}
+    for c, cls in zip(out.coordinates, basis):
+        add_scaled(rebuilt, cls.representative.to_vector(), c)
+    if degree:
+        add_scaled(rebuilt, delta.apply(out.certificate.to_vector()), F.one())
+    else:
+        assert out.certificate is None
+    assert rebuilt == vec

@@ -2,11 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qci_hochschild.linalg import (
     NotContainedError,
     SparseMatrix,
     Subspace,
+    _rref,
     coset_basis,
     stack_rank,
 )
@@ -142,3 +145,92 @@ def test_kernel_image_composition_bound():
     kernel = m1.kernel_basis()
     assert kernel.contains_subspace(image)
     assert image.dim <= kernel.dim
+
+
+def test_solve_rejects_index_outside_rows():
+    m = SparseMatrix.identity(2, R)
+    for i in (-1, 2):
+        with pytest.raises(ValueError):
+            m.solve({i: Fraction(1)})
+
+
+# -- factor once, solve many ---------------------------------------------------
+
+FIELDS = (R, cyclotomic_field(3), prime_field_for(3))
+
+
+def one_shot_solve(m, b):
+    """Reference: reduce [M | b] from scratch, free variables zero."""
+    aug = m.row_dicts()
+    for i, v in b.items():
+        if v:
+            aug[i][m.cols] = v
+    pivots, rows = _rref(aug, m.cols + 1)
+    x = {}
+    for col, row in zip(pivots, rows):
+        if col == m.cols:
+            return None
+        v = row.get(m.cols)
+        if v:
+            x[col] = v
+    return x
+
+
+@st.composite
+def scalars(draw, field):
+    """Small combinations c * root^e, so cyclotomic entries are not all rational."""
+    c = draw(st.sampled_from((0, 0, 0, 1, -1, 2, -3)))
+    e = draw(st.integers(0, 2))
+    return field.from_int(c) * field.root ** e
+
+
+@st.composite
+def systems(draw, max_rhs=1):
+    """A random matrix over one of the backends and some right-hand sides.
+
+    Half of the right-hand sides are images M x, the rest are arbitrary and
+    mostly inconsistent once M is rank deficient.
+    """
+    field = draw(st.sampled_from(FIELDS))
+    rows = draw(st.integers(1, 6))
+    cols = draw(st.integers(1, 6))
+    data = [[draw(scalars(field)) for _ in range(cols)] for _ in range(rows)]
+    m = SparseMatrix.from_dense(data, field)
+    rhs = []
+    for _ in range(draw(st.integers(1, max_rhs))):
+        if draw(st.booleans()):
+            x = {j: draw(scalars(field)) for j in range(cols)}
+            rhs.append(m.apply({j: v for j, v in x.items() if v}))
+        else:
+            b = {i: draw(scalars(field)) for i in range(rows)}
+            rhs.append({i: v for i, v in b.items() if v})
+    return m, rhs
+
+
+@settings(max_examples=150, deadline=None)
+@given(systems())
+def test_solve_equals_one_shot_reduction(system):
+    m, (b,) = system
+    x = m.solve(b)
+    expected = one_shot_solve(m, b)
+    assert x == expected
+    if x is not None:
+        assert list(x) == list(expected)  # same key order, so the same text
+        assert m.apply(x) == b
+
+
+@settings(max_examples=100, deadline=None)
+@given(systems(max_rhs=5), st.randoms(use_true_random=False))
+def test_repeated_solves_in_any_order(system, rng):
+    m, rhs = system
+    twin = SparseMatrix(m.rows, m.cols, dict(m.entries), m.field)
+    order = list(range(len(rhs)))
+    rng.shuffle(order)
+    expected = [one_shot_solve(m, b) for b in rhs]
+    for k in order + order[::-1]:
+        x = m.solve(rhs[k])
+        assert x == expected[k]
+        if x is not None:
+            x[m.cols] = m.field.one()  # a caller mutating its answer must not reach the cache
+    assert [twin.solve(b) for b in rhs] == expected
+    assert m.entries == twin.entries

@@ -144,6 +144,13 @@ def test_smallest_prime_modulus():
     assert smallest_prime_modulus(7) == 29
 
 
+@pytest.mark.parametrize("a", [1, 0, -3])
+def test_smallest_prime_modulus_rejects_small_orders(a):
+    # p % 1 == 1 never holds, so the search must refuse a = 1 before it starts
+    with pytest.raises(ValueError, match="a must be at least 2"):
+        smallest_prime_modulus(a)
+
+
 def test_k_sum_full_cycle_vanishes():
     for a in (2, 3, 4, 5, 7):
         F = cyclotomic_field(a)
