@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .linalg import SparseMatrix, add_term
+
 
 class MixedContextError(ValueError):
     """Operands belong to different algebras or scalar backends."""
@@ -180,12 +182,7 @@ class AlgebraElement:
         _require_same(self, other)
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            nc = terms.get(m)
-            nc = c if nc is None else nc + c
-            if nc:
-                terms[m] = nc
-            else:
-                del terms[m]
+            add_term(terms, m, c)
         return AlgebraElement(self.algebra, terms)
 
     def __sub__(self, other):
@@ -206,13 +203,7 @@ class AlgebraElement:
                 if hit is None:
                     continue
                 scale, mono = hit
-                c = c1 * c2 * scale
-                nc = terms.get(mono)
-                nc = c if nc is None else nc + c
-                if nc:
-                    terms[mono] = nc
-                else:
-                    del terms[mono]
+                add_term(terms, mono, c1 * c2 * scale)
         return AlgebraElement(A, terms)
 
     def scale(self, scalar):
@@ -262,12 +253,7 @@ class EnvElement:
         _require_same(self, other)
         terms = dict(self.terms)
         for t, c in other.terms.items():
-            nc = terms.get(t)
-            nc = c if nc is None else nc + c
-            if nc:
-                terms[t] = nc
-            else:
-                del terms[t]
+            add_term(terms, t, c)
         return EnvElement(self.algebra, terms)
 
     def __sub__(self, other):
@@ -288,13 +274,7 @@ class EnvElement:
                 if hit is None:
                     continue
                 scale, tensor = hit
-                c = c1 * c2 * scale
-                nc = terms.get(tensor)
-                nc = c if nc is None else nc + c
-                if nc:
-                    terms[tensor] = nc
-                else:
-                    del terms[tensor]
+                add_term(terms, tensor, c1 * c2 * scale)
         return EnvElement(A, terms)
 
     def scale(self, scalar):
@@ -313,13 +293,7 @@ class EnvElement:
                 if hit is None:
                     continue
                 scale, mono = hit
-                c = c1 * c2 * scale
-                nc = terms.get(mono)
-                nc = c if nc is None else nc + c
-                if nc:
-                    terms[mono] = nc
-                else:
-                    del terms[mono]
+                add_term(terms, mono, c1 * c2 * scale)
         return AlgebraElement(A, terms)
 
     def in_radical(self) -> bool:
@@ -344,8 +318,6 @@ class EnvElement:
 
 def center_basis(A: QuantumCompleteIntersection) -> list:
     """Canonical basis of the centre, by solving zg = gz for g in {x, y}."""
-    from .linalg import SparseMatrix
-
     a2 = A.dim
     entries = {}
     for block, gen in enumerate((A.x(), A.y())):
@@ -382,8 +354,7 @@ class FrobeniusData:
 
     def trace(self, element: AlgebraElement):
         """The form the conventions are stated for: the top socle coefficient."""
-        A = element.algebra
-        return element.coefficient(A.a - 1, A.a - 1)
+        return trace_form(element.algebra, element)
 
     def twist(self, element: AlgebraElement) -> AlgebraElement:
         return nakayama_twist(element.algebra, element)

@@ -19,7 +19,6 @@ from .bar import DEFAULT_SIZE_CAP, BarComplex, SizeError
 from .cohomology import dimension_table, standard_basis
 from .resolution import GENERAL, differential, preferred_variant
 from .scalars import (
-    NoRootError,
     cyclotomic_field,
     prime_field,
     prime_field_for,
@@ -65,9 +64,8 @@ def nonnegative_int(text: str) -> int:
     return value
 
 
-def basis_index(name: str, index: int, degree_name: str, degree: int) -> int:
-    """Check that index picks one of the 2*degree + 2 named classes."""
-    size = 2 * degree + 2
+def basis_index(name: str, index: int, degree_name: str, degree: int, size: int) -> int:
+    """Check that index picks one of the first `size` named classes of a degree."""
     if not 0 <= index < size:
         raise ValueError(
             f"{name} must be in 0..{size - 1} for {degree_name} {degree}, got {index}"
@@ -136,8 +134,9 @@ def cmd_basis(args) -> int:
 
 
 def cmd_product(args) -> int:
-    i = basis_index("--i", args.i, "--deg1", args.deg1)
-    j = basis_index("--j", args.j, "--deg2", args.deg2)
+    # the left factor is any named class, the right one a scalar class
+    i = basis_index("--i", args.i, "--deg1", args.deg1, 2 * args.deg1 + 2)
+    j = basis_index("--j", args.j, "--deg2", args.deg2, args.deg2 + 1)
     A = make_algebra(args)
     left = standard_basis(A, args.deg1)[i]
     right = standard_basis(A, args.deg2)[j]
@@ -327,11 +326,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except NoRootError as exc:
+    except (argparse.ArgumentTypeError, ValueError) as exc:
         parser.error(str(exc))  # exits with status 2
-    except (argparse.ArgumentTypeError, ValueError, KeyError, IndexError) as exc:
-        parser.error(str(exc))
-    return 2
 
 
 def entrypoint():

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import AlgebraElement, QuantumCompleteIntersection, element_to_text
-from .linalg import SparseMatrix, Subspace, coset_basis, stack_rank
+from .linalg import SparseMatrix, Subspace, add_term, coset_basis, stack_rank
 from .resolution import differential, preferred_variant
 from .scalars import k_sum
 
@@ -110,46 +110,22 @@ def hom_differential(A: QuantumCompleteIntersection, n: int) -> SparseMatrix:
                     if hit is None:
                         continue
                     scale, mono = hit
-                    row = i * a2 + A.mono_index(mono)
-                    value = c * scale
-                    prev = entries.get((row, col))
-                    value = value if prev is None else prev + value
-                    if value:
-                        entries[(row, col)] = value
-                    else:
-                        del entries[(row, col)]
+                    add_term(entries, (i * a2 + A.mono_index(mono), col), c * scale)
     matrix = SparseMatrix((n + 1) * a2, n * a2, entries, A.field)
     A._cache[key] = matrix
     return matrix
-
-
-def _hom_rank(A, n) -> int:
-    key = ("homrank", n)
-    cached = A._cache.get(key)
-    if cached is None:
-        cached = hom_differential(A, n).rank()
-        A._cache[key] = cached
-    return cached
 
 
 def hh_dimension_ext(A: QuantumCompleteIntersection, n: int) -> int:
     """dim of degree-n cohomology via the Hom route."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    kernel_dim = (n + 1) * A.dim - _hom_rank(A, n + 1)
-    image_dim = 0 if n == 0 else _hom_rank(A, n)
+    kernel_dim = (n + 1) * A.dim - hom_differential(A, n + 1).rank()
+    image_dim = 0 if n == 0 else hom_differential(A, n).rank()
     return kernel_dim - image_dim
 
 
-@dataclass
-class DeltaMatrix:
-    """k-linear matrix of the twisted-complex differential in one degree."""
-
-    degree: int
-    matrix: SparseMatrix
-
-
-def delta_matrix(A: QuantumCompleteIntersection, n: int) -> DeltaMatrix:
+def delta_matrix(A: QuantumCompleteIntersection, n: int) -> SparseMatrix:
     """Differential of the twisted chain complex on the basis y^u x^v e^n_i.
 
     Monomials whose exponents overflow a vanish; generator indices outside
@@ -173,15 +149,7 @@ def delta_matrix(A: QuantumCompleteIntersection, n: int) -> DeltaMatrix:
     entries = {}
 
     def put(row_i, mono, col, scalar):
-        if not scalar:
-            return
-        row = row_i * a2 + A.mono_index(mono)
-        prev = entries.get((row, col))
-        scalar = scalar if prev is None else prev + scalar
-        if scalar:
-            entries[(row, col)] = scalar
-        else:
-            del entries[(row, col)]
+        add_term(entries, (row_i * a2 + A.mono_index(mono), col), scalar)
 
     even = n % 2 == 0
     for i in range(n + 1):
@@ -210,18 +178,9 @@ def delta_matrix(A: QuantumCompleteIntersection, n: int) -> DeltaMatrix:
                             put(i, (a - 1, v), col, qp(1) * K(v + 2))
                         if i >= 1 and v + 1 < a:
                             put(i - 1, (u, v + 1), col, qp(u + 1) - one)
-    dm = DeltaMatrix(n, SparseMatrix(n * a2, (n + 1) * a2, entries, A.field))
-    A._cache[key] = dm
-    return dm
-
-
-def _delta_rank(A, n) -> int:
-    key = ("deltarank", n)
-    cached = A._cache.get(key)
-    if cached is None:
-        cached = delta_matrix(A, n).matrix.rank()
-        A._cache[key] = cached
-    return cached
+    matrix = SparseMatrix(n * a2, (n + 1) * a2, entries, A.field)
+    A._cache[key] = matrix
+    return matrix
 
 
 def hh_dimension_tor(A: QuantumCompleteIntersection, n: int) -> int:
@@ -231,8 +190,8 @@ def hh_dimension_tor(A: QuantumCompleteIntersection, n: int) -> int:
     if n == 0:
         kernel_dim = A.dim
     else:
-        kernel_dim = (n + 1) * A.dim - _delta_rank(A, n)
-    return kernel_dim - _delta_rank(A, n + 1)
+        kernel_dim = (n + 1) * A.dim - delta_matrix(A, n).rank()
+    return kernel_dim - delta_matrix(A, n + 1).rank()
 
 
 # ---------------------------------------------------------------------------

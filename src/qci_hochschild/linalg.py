@@ -9,9 +9,32 @@ band matrices this package produces.
 
 from __future__ import annotations
 
+from itertools import chain
+
 
 class NotContainedError(ValueError):
     """Claimed subspace inclusion does not hold."""
+
+
+def add_term(terms, key, value):
+    """Add value into terms[key] in place, dropping the key when it sums to 0."""
+    total = terms.get(key)
+    total = value if total is None else total + value
+    if total:
+        terms[key] = total
+    else:
+        terms.pop(key, None)
+
+
+def _subtract(vec, factor, row):
+    """vec -= factor * row in place, dropping the entries that cancel."""
+    for c, v in row.items():
+        nv = vec.get(c)
+        nv = -factor * v if nv is None else nv - factor * v
+        if nv:
+            vec[c] = nv
+        else:
+            del vec[c]
 
 
 def _rref(rows, ncols):
@@ -36,26 +59,10 @@ def _rref(rows, ncols):
         row = remaining.pop(best[1])
         inv = row[col] ** 0 / row[col]
         row = {c: v * inv for c, v in row.items()}
-        for other in remaining:
+        for other in chain(remaining, pivot_rows):
             factor = other.get(col)
             if factor is not None:
-                for c, v in row.items():
-                    nv = other.get(c)
-                    nv = -factor * v if nv is None else nv - factor * v
-                    if nv:
-                        other[c] = nv
-                    else:
-                        del other[c]
-        for other in pivot_rows:
-            factor = other.get(col)
-            if factor is not None:
-                for c, v in row.items():
-                    nv = other.get(c)
-                    nv = -factor * v if nv is None else nv - factor * v
-                    if nv:
-                        other[c] = nv
-                    else:
-                        del other[c]
+                _subtract(other, factor, row)
         remaining = [r for r in remaining if r]
         pivots.append(col)
         pivot_rows.append(row)
@@ -68,13 +75,7 @@ def _reduce_vector(vec, pivots, pivot_rows):
     for col, row in zip(pivots, pivot_rows):
         factor = vec.get(col)
         if factor is not None:
-            for c, v in row.items():
-                nv = vec.get(c)
-                nv = -factor * v if nv is None else nv - factor * v
-                if nv:
-                    vec[c] = nv
-                else:
-                    del vec[c]
+            _subtract(vec, factor, row)
     return vec
 
 
@@ -181,12 +182,7 @@ class SparseMatrix:
             if not x:
                 continue
             for i, v in self._columns_of(j):
-                nv = out.get(i)
-                nv = v * x if nv is None else nv + v * x
-                if nv:
-                    out[i] = nv
-                else:
-                    del out[i]
+                add_term(out, i, v * x)
         return out
 
     def _columns_of(self, j):

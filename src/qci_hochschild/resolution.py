@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 
 from .algebra import EnvElement, QuantumCompleteIntersection
-from .linalg import SparseMatrix
+from .linalg import SparseMatrix, add_term
 
 
 class OrderError(ValueError):
@@ -192,14 +192,7 @@ class DifferentialMatrix:
                         if hit is None:
                             continue
                         scale, target = hit
-                        row = j * dim + A.env_index(target)
-                        value = c * scale
-                        prev = entries.get((row, col))
-                        value = value if prev is None else prev + value
-                        if value:
-                            entries[(row, col)] = value
-                        else:
-                            del entries[(row, col)]
+                        add_term(entries, (j * dim + A.env_index(target), col), c * scale)
         return SparseMatrix(
             self.degree * dim, (self.degree + 1) * dim, entries, A.field
         )
@@ -343,25 +336,14 @@ def compose(outer: DifferentialMatrix, inner: DifferentialMatrix):
     for i in range(inner.degree + 1):
         for j, e_inner in inner.column(i):
             for k, e_outer in outer.column(j):
-                prod = e_inner * e_outer
-                if not prod:
-                    continue
-                key = (k, i)
-                prev = out.get(key)
-                total = prod if prev is None else prev + prod
-                if total:
-                    out[key] = total
-                else:
-                    del out[key]
+                add_term(out, (k, i), e_inner * e_outer)
     return out
 
 
 @dataclass
-class ResolutionReport:
-    """Outcome of the self-consistency checks, with the first witness kept."""
+class CheckReport:
+    """Named checks in the order they ran: (name, passed, witness) triples."""
 
-    algebra: str
-    n_max: int
     checks: list = dataclass_field(default_factory=list)
 
     def record(self, name, ok, detail=""):
@@ -374,13 +356,19 @@ class ResolutionReport:
     def failures(self):
         return [(name, detail) for name, ok, detail in self.checks if not ok]
 
+    def status(self, name) -> bool:
+        for n, ok, _ in self.checks:
+            if n == name:
+                return ok
+        raise KeyError(name)
+
 
 def verify_resolution(
     A: QuantumCompleteIntersection,
     n_max: int,
     exactness_max: int | None = None,
     variant: str | None = None,
-) -> ResolutionReport:
+) -> CheckReport:
     """Machine verification of the resolution up to degree n_max.
 
     Checks, in order: the two-band shape, d . d = 0 (including the
@@ -393,7 +381,7 @@ def verify_resolution(
         raise ValueError("n_max must be at least 2")
     if exactness_max is None:
         exactness_max = n_max
-    report = ResolutionReport(algebra=A.describe(), n_max=n_max)
+    report = CheckReport()
     variant = variant or preferred_variant(A)
 
     diffs = {n: differential(A, n, GENERAL) for n in range(1, n_max + 2)}

@@ -58,56 +58,30 @@ def cyclotomic_polynomial(a: int) -> tuple[int, ...]:
 # scalar types
 
 
-class CyclotomicScalar:
-    """Element of Q(zeta_a), stored as a polynomial in zeta reduced mod Phi_a."""
+class _FieldScalar:
+    """Operators shared by the scalar types.
 
-    __slots__ = ("field", "coeffs")
+    Subclasses supply +, -, *, unary -, inverse, bool and _key, the data that
+    equality and hashing compare.
+    """
 
-    def __init__(self, field, coeffs):
-        self.field = field
-        self.coeffs = tuple(coeffs)
+    __slots__ = ()
 
     def _check(self, other):
         if isinstance(other, int):
             return self.field.from_int(other)
-        if isinstance(other, CyclotomicScalar) and other.field == self.field:
+        if type(other) is type(self) and other.field == self.field:
             return other
         return None
 
-    def __add__(self, other):
-        other = self._check(other)
-        if other is None:
-            return NotImplemented
-        return CyclotomicScalar(
-            self.field, [x + y for x, y in zip(self.coeffs, other.coeffs)]
-        )
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._check(other)
-        if other is None:
-            return NotImplemented
-        return CyclotomicScalar(
-            self.field, [x - y for x, y in zip(self.coeffs, other.coeffs)]
-        )
+    def __radd__(self, other):
+        return self.__add__(other)  # not self + other: that would recurse on a foreign type
 
     def __rsub__(self, other):
         other = self._check(other)
         if other is None:
             return NotImplemented
         return other - self
-
-    def __neg__(self):
-        return CyclotomicScalar(self.field, [-x for x in self.coeffs])
-
-    def __mul__(self, other):
-        other = self._check(other)
-        if other is None:
-            return NotImplemented
-        return CyclotomicScalar(self.field, self.field._mul(self.coeffs, other.coeffs))
-
-    __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = self._check(other)
@@ -133,19 +107,59 @@ class CyclotomicScalar:
             e >>= 1
         return result
 
-    def inverse(self):
-        if not any(self.coeffs):
-            raise ZeroDivisionError("inverse of zero")
-        return CyclotomicScalar(self.field, self.field._inverse(self.coeffs))
-
     def __eq__(self, other):
         other = self._check(other)
         if other is None:
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self._key() == other._key()
 
     def __hash__(self):
-        return hash((self.field.order, self.coeffs))
+        return hash(self._key())
+
+
+class CyclotomicScalar(_FieldScalar):
+    """Element of Q(zeta_a), stored as a polynomial in zeta reduced mod Phi_a."""
+
+    __slots__ = ("field", "coeffs")
+
+    def __init__(self, field, coeffs):
+        self.field = field
+        self.coeffs = tuple(coeffs)
+
+    def _key(self):
+        return self.coeffs
+
+    def __add__(self, other):
+        other = self._check(other)
+        if other is None:
+            return NotImplemented
+        return CyclotomicScalar(
+            self.field, [x + y for x, y in zip(self.coeffs, other.coeffs)]
+        )
+
+    def __sub__(self, other):
+        other = self._check(other)
+        if other is None:
+            return NotImplemented
+        return CyclotomicScalar(
+            self.field, [x - y for x, y in zip(self.coeffs, other.coeffs)]
+        )
+
+    def __neg__(self):
+        return CyclotomicScalar(self.field, [-x for x in self.coeffs])
+
+    def __mul__(self, other):
+        other = self._check(other)
+        if other is None:
+            return NotImplemented
+        return CyclotomicScalar(self.field, self.field._mul(self.coeffs, other.coeffs))
+
+    __rmul__ = __mul__
+
+    def inverse(self):
+        if not any(self.coeffs):
+            raise ZeroDivisionError("inverse of zero")
+        return CyclotomicScalar(self.field, self.field._inverse(self.coeffs))
 
     def __bool__(self):
         return any(self.coeffs)
@@ -154,7 +168,7 @@ class CyclotomicScalar:
         return f"CyclotomicScalar({self.field.order}, {self.field.scalar_to_text(self)!r})"
 
 
-class PrimeFieldScalar:
+class PrimeFieldScalar(_FieldScalar):
     """Element of F_p, stored as an integer in [0, p)."""
 
     __slots__ = ("field", "value")
@@ -163,12 +177,8 @@ class PrimeFieldScalar:
         self.field = field
         self.value = value % field.modulus
 
-    def _check(self, other):
-        if isinstance(other, int):
-            return PrimeFieldScalar(self.field, other)
-        if isinstance(other, PrimeFieldScalar) and other.field == self.field:
-            return other
-        return None
+    def _key(self):
+        return self.value
 
     def __add__(self, other):
         other = self._check(other)
@@ -176,19 +186,11 @@ class PrimeFieldScalar:
             return NotImplemented
         return PrimeFieldScalar(self.field, self.value + other.value)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         other = self._check(other)
         if other is None:
             return NotImplemented
         return PrimeFieldScalar(self.field, self.value - other.value)
-
-    def __rsub__(self, other):
-        other = self._check(other)
-        if other is None:
-            return NotImplemented
-        return other - self
 
     def __neg__(self):
         return PrimeFieldScalar(self.field, -self.value)
@@ -201,18 +203,6 @@ class PrimeFieldScalar:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = self._check(other)
-        if other is None:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = self._check(other)
-        if other is None:
-            return NotImplemented
-        return other * self.inverse()
-
     def __pow__(self, e: int):
         return PrimeFieldScalar(self.field, pow(self.value, e, self.field.modulus))
 
@@ -220,15 +210,6 @@ class PrimeFieldScalar:
         if self.value == 0:
             raise ZeroDivisionError("inverse of zero")
         return PrimeFieldScalar(self.field, pow(self.value, -1, self.field.modulus))
-
-    def __eq__(self, other):
-        other = self._check(other)
-        if other is None:
-            return NotImplemented
-        return self.value == other.value
-
-    def __hash__(self):
-        return hash((self.field.modulus, self.value))
 
     def __bool__(self):
         return self.value != 0

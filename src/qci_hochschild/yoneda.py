@@ -18,7 +18,7 @@ are exactly what make all four parity cases of the squares close up.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 from .algebra import QuantumCompleteIntersection, env_to_text
 from .cohomology import (
@@ -32,6 +32,7 @@ from .resolution import (
     GAMMA_Y,
     TAU_X,
     TAU_Y,
+    CheckReport,
     OrderError,
     beta_element,
     differential,
@@ -63,16 +64,13 @@ class LiftingFamily:
         return self.maps[s].get((j, i))
 
 
-def _scalar_values(cochain: Cochain):
-    """Extract field scalars from a cochain of scalar multiples of 1."""
-    out = []
-    for value in cochain.values:
-        if not value.is_scalar():
-            raise NonScalarError(
-                "lifting needs scalar values; got a non-unit monomial"
-            )
-        out.append(value.coefficient(0, 0))
-    return out
+def _scalar_value(p):
+    """The field scalar p stands for: p itself, or c when p is c * 1 in A."""
+    if not hasattr(p, "is_scalar"):
+        return p
+    if not p.is_scalar():
+        raise NonScalarError("lifting needs scalar values; got a non-unit monomial")
+    return p.coefficient(0, 0)
 
 
 def build_lifting(
@@ -89,14 +87,7 @@ def build_lifting(
     keyword hooks substitute the odd-column correction factors; tests use
     them as negative controls.
     """
-    vals = []
-    for p in values:
-        if hasattr(p, "is_scalar"):
-            if not p.is_scalar():
-                raise NonScalarError("lifting needs scalar values")
-            vals.append(p.coefficient(0, 0))
-        else:
-            vals.append(p)
+    vals = [_scalar_value(p) for p in values]
     degree = len(vals) - 1
     if degree % 2 != 0:
         raise ValueError("liftings are built for even-degree cochains")
@@ -137,28 +128,11 @@ def build_lifting(
     return LiftingFamily(A, degree, vals, s_max, maps)
 
 
-@dataclass
-class LiftingReport:
-    degree: int
-    s_max: int
-    checks: list = dataclass_field(default_factory=list)
-
-    def record(self, name, ok, detail=""):
-        self.checks.append((name, bool(ok), detail))
-
-    @property
-    def ok(self) -> bool:
-        return all(ok for _, ok, _ in self.checks)
-
-    def failures(self):
-        return [(name, detail) for name, ok, detail in self.checks if not ok]
-
-
-def verify_lifting(family: LiftingFamily) -> LiftingReport:
+def verify_lifting(family: LiftingFamily) -> CheckReport:
     """Check every square d_s h_s = h_(s-1) d_(2t+s) and the base triangle."""
     A = family.algebra
     variant = preferred_variant(A)
-    report = LiftingReport(degree=family.degree, s_max=family.s_max)
+    report = CheckReport()
 
     base_ok = True
     for i in range(family.degree + 1):
@@ -214,8 +188,7 @@ def yoneda_product(
     A = chi.representative.algebra
     two_m = chi.degree
     two_t = xi.degree
-    values = _scalar_values(xi.representative)
-    family = build_lifting(A, values, two_m)
+    family = build_lifting(A, xi.representative.values, two_m)
     top = family.maps[two_m]
     out_values = [A.zero() for _ in range(two_t + two_m + 1)]
     chi_values = chi.representative.values
@@ -279,7 +252,7 @@ def relations_check(A: QuantumCompleteIntersection):
         ("l", lambda: tx(1) * bx(0), lambda: -gx(0)),
         ("m", lambda: bx(0) * gy(1), lambda: gy(-1) * bx(1)),
     ]
-    report = RelationsReport(algebra=A.describe())
+    report = CheckReport()
     for name, lhs_fn, rhs_fn in identities:
         lhs = lhs_fn()
         rhs = rhs_fn()
@@ -287,28 +260,6 @@ def relations_check(A: QuantumCompleteIntersection):
         witness = "" if ok else f"difference: {env_to_text(lhs - rhs)}"
         report.record(name, ok, witness)
     return report
-
-
-@dataclass
-class RelationsReport:
-    algebra: str
-    checks: list = dataclass_field(default_factory=list)
-
-    def record(self, name, ok, detail=""):
-        self.checks.append((name, bool(ok), detail))
-
-    @property
-    def ok(self) -> bool:
-        return all(ok for _, ok, _ in self.checks)
-
-    def failures(self):
-        return [(name, detail) for name, ok, detail in self.checks if not ok]
-
-    def status(self, name) -> bool:
-        for n, ok, _ in self.checks:
-            if n == name:
-                return ok
-        raise KeyError(name)
 
 
 def sum_identity_check(A: QuantumCompleteIntersection) -> bool:

@@ -73,11 +73,11 @@ def test_criterion_2_kernel_and_image_counts():
         a2 = A.dim
         for t in range(1, 5):
             n = 2 * t
-            ker = (n + 1) * a2 - delta_matrix(A, n).matrix.rank()
+            ker = (n + 1) * a2 - delta_matrix(A, n).rank()
             assert ker == (a2 + 2) * t + a2, ("even kernel", a, t, ker)
         for t in range(0, 5):
             n = 2 * t + 1
-            rank = delta_matrix(A, n).matrix.rank()
+            rank = delta_matrix(A, n).rank()
             ker = (n + 1) * a2 - rank
             assert ker == (a2 + 2) * t + a2 + 2, ("odd kernel", a, t, ker)
             assert rank == (a2 - 2) * (t + 1), ("odd image", a, t, rank)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -146,6 +147,16 @@ def test_oracle_block_too_wide_for_modulus(capsys):
     assert "inexact" in capsys.readouterr().err
 
 
+def test_internal_error_is_not_a_usage_error(monkeypatch):
+    # a bug inside a subcommand must surface as a traceback, not as exit 2
+    def broken(*args, **kwargs):
+        raise IndexError("list index out of range")
+
+    monkeypatch.setattr(cli, "dimension_table", broken)
+    with pytest.raises(IndexError):
+        cli.main(["dims", "--a", "3", "--max-degree", "2"])
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["dims"])  # missing --a
@@ -175,8 +186,10 @@ def test_prime_backend_order_one_is_usage_error(capsys):
     "index, message",
     [
         (["--i", "-1", "--j", "0"], "--i must be in 0..5 for --deg1 2, got -1"),
-        (["--i", "0", "--j", "6"], "--j must be in 0..5 for --deg2 2, got 6"),
+        (["--i", "0", "--j", "6"], "--j must be in 0..2 for --deg2 2, got 6"),
         (["--i", "99", "--j", "0"], "--i must be in 0..5 for --deg1 2, got 99"),
+        # --j names the scalar class being lifted, so a non-scalar class is refused
+        (["--i", "0", "--j", "4"], "--j must be in 0..2 for --deg2 2, got 4"),
     ],
 )
 def test_product_index_out_of_range_is_usage_error(capsys, index, message):
@@ -243,3 +256,61 @@ def test_backend_env_default(capsys, monkeypatch):
     code, out = run(capsys, "dims", "--a", "3", "--max-degree", "2")
     assert code == 0
     assert json.loads(out)["backend"] == "prime(7)"
+
+
+# SHA-256 of the stdout of every subcommand at small sizes, on the cyclotomic
+# and the prime backend wherever a subcommand takes --backend.  The output is
+# promised byte for byte, so any change to these bytes is a change of output.
+GOLDEN_STDOUT = {
+    "dims --a 3 --backend cyclotomic --max-degree 4":
+        "74db2cf83a5014727ada4bf0a613ceec0c677b5fb3d58e6ecff4b6f788379d45",
+    "dims --a 2 --backend cyclotomic --max-degree 3 --format csv":
+        "64ce16111d5d1cdbc35271d012be1ee14bb927549f7bafa65b38947aebe1d00e",
+    "basis --a 3 --backend cyclotomic --degree 2":
+        "b5aeb4f68709733a0a7d4182801d412f17d0520faa25bb3c10e62f3ff205638c",
+    "product --a 3 --backend cyclotomic --deg1 2 --i 4 --deg2 2 --j 1":
+        "8d04145300a972f32115d571f9e1811e3e2b07d204980a41224728d5cd3c6a89",
+    "product --a 3 --backend cyclotomic --deg1 2 --i 2 --deg2 2 --j 2":
+        "569e1406415d81c8a9995cffb695551999fd1cb5c0422d86a1434c75d0d16a7e",
+    "table --a 3 --backend cyclotomic --max-degree 4":
+        "0615b2a2a7b6e046d3f3ac4f70a2e545285ff4ae8698bcd8d15d0029b48c83ee",
+    "verify --a 3 --backend cyclotomic --suite liftings --t-max 1 --s-max 3":
+        "a25574f9f2f563f03a1edc35f83ea5d783aeaf043a74450b9c9591bd63055fbc",
+    "verify --a 3 --backend cyclotomic --suite relations":
+        "5c1af25219ecab01fa829282250705a9c136efa0c8126dbdec5989a4fcb88a5d",
+    "verify --a 2 --backend cyclotomic --suite table --max-degree 4":
+        "84a0e09a1ab1648dbf2417084f8efc72fc455845e554e9ebe393c2afbcddda05",
+    "dump-resolution --a 3 --backend cyclotomic --max-degree 2":
+        "972ccdc93a487fc1d980bb253529258fe0104b19a26b8c987cf8cacfda001593",
+    "dims --a 3 --backend prime --max-degree 4":
+        "efe5f387a1fa682903981695d794828b2c874c028cf9ad321e1de55b61426b79",
+    "dims --a 2 --backend prime --max-degree 3 --format csv":
+        "64ce16111d5d1cdbc35271d012be1ee14bb927549f7bafa65b38947aebe1d00e",
+    "basis --a 3 --backend prime --degree 2":
+        "0a660bf82b582ec7da5641d0d2fccf24e3ab9cbb07d1e048f352097e896269a6",
+    "product --a 3 --backend prime --deg1 2 --i 4 --deg2 2 --j 1":
+        "9b578dc0c2c2a47667d85545e3d0ba31342d84f1d1788961a5a97fc43455aa41",
+    "product --a 3 --backend prime --deg1 2 --i 2 --deg2 2 --j 2":
+        "bfb9233eb3ece02e071ea6ab2a4c7468a3ca47a9538f3cf16593e13cb5b8e30e",
+    "table --a 3 --backend prime --max-degree 4":
+        "267f2825f6afcd7d48762f012bb2447ca9aa6c8475f64082e7a3aeef786dc32e",
+    "verify --a 3 --backend prime --suite liftings --t-max 1 --s-max 3":
+        "917266e2e70d139c882e4aa4d88a03e4e51b5598baabf23621f237790760547e",
+    "verify --a 3 --backend prime --suite relations":
+        "f117e32f0db01c28b104983a1f76b7a1dffae0ad352979050d9af2af6d8fc3f1",
+    "verify --a 2 --backend prime --suite table --max-degree 4":
+        "ef7d2674a613fe075233c20c45bfd927a28790205fa09f614f138ecda72c2ca6",
+    "dump-resolution --a 3 --backend prime --max-degree 2":
+        "55f45913ce8407088183b2f2f180d82216b3158b370f4a123892ddcf78538cee",
+    "oracle --a 2 --max-degree 2":
+        "04f74ec8d3893a1beea28ff6968e6081af501f1d60ef81a5a657bbc80d6a7989",
+    "oracle --a 3 --max-degree 1":
+        "5d51859aeee1c94ff39d27c3bf8e8df1dca7d1b0cf8293d1ffb493c886c154b2",
+}
+
+
+@pytest.mark.parametrize("command", list(GOLDEN_STDOUT), ids=lambda c: c.replace(" ", "_"))
+def test_golden_stdout(capsys, command):
+    code, out = run(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[command]

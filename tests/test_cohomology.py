@@ -93,7 +93,7 @@ def test_rank_backend_independence():
                 hom_differential(C, n).rank() == hom_differential(P, n).rank()
             ), (a, n)
             assert (
-                delta_matrix(C, n).matrix.rank() == delta_matrix(P, n).matrix.rank()
+                delta_matrix(C, n).rank() == delta_matrix(P, n).rank()
             ), (a, n)
 
 
@@ -112,8 +112,8 @@ def test_delta_dimensions():
     A = make(3)
     for n in (1, 2, 7):
         dm = delta_matrix(A, n)
-        assert dm.matrix.rows == n * 9
-        assert dm.matrix.cols == (n + 1) * 9
+        assert dm.rows == n * 9
+        assert dm.cols == (n + 1) * 9
 
 
 def test_delta_even_on_top_row_monomials():
@@ -124,7 +124,7 @@ def test_delta_even_on_top_row_monomials():
         A = make(a)
         a2 = A.dim
         n = 4
-        dm = delta_matrix(A, n).matrix
+        dm = delta_matrix(A, n)
         for i in (0, 2, 4):
             for v in range(a):
                 col = i * a2 + A.mono_index((a - 1, v))
@@ -146,7 +146,7 @@ def test_delta_odd_kernel_monomials():
         A = make(a)
         a2 = A.dim
         for n in (1, 3, 5):
-            dm = delta_matrix(A, n).matrix
+            dm = delta_matrix(A, n)
             cols_hit = {c for (_, c) in dm.entries}
             for i in range(n + 1):
                 for v in range(a):
@@ -161,13 +161,13 @@ def test_delta_kernel_and_image_counts(a):
     a2 = A.dim
     for t in range(1, 4):
         n = 2 * t
-        ker = (n + 1) * a2 - delta_matrix(A, n).matrix.rank()
+        ker = (n + 1) * a2 - delta_matrix(A, n).rank()
         assert ker == (a2 + 2) * t + a2, (a, t)
     for t in range(0, 4):
         n = 2 * t + 1
-        ker = (n + 1) * a2 - delta_matrix(A, n).matrix.rank()
+        ker = (n + 1) * a2 - delta_matrix(A, n).rank()
         assert ker == (a2 + 2) * t + a2 + 2, (a, t)
-        assert delta_matrix(A, n).matrix.rank() == (a2 - 2) * (t + 1), (a, t)
+        assert delta_matrix(A, n).rank() == (a2 - 2) * (t + 1), (a, t)
 
 
 def test_tor_odd_even_values():

@@ -232,6 +232,9 @@ def test_field_axioms_randomized(field):
 
     one = field.one()
     zero = field.zero()
+    two = field.from_int(2)
+    # an element of another backend: no arithmetic may mix the two
+    other = prime_field_for(3).one() if field.tag == "cyclotomic" else cyclotomic_field(3).one()
     for _ in range(40):
         x, y, z = rand(), rand(), rand()
         assert (x + y) + z == x + (y + z)
@@ -239,8 +242,23 @@ def test_field_axioms_randomized(field):
         assert x * (y + z) == x * y + x * z
         assert x + zero == x and x * one == x
         assert x - x == zero
+        assert 2 + x == two + x and 2 - x == two - x and x - 2 == x - two
+        copy = field.scalar_from_text(field.scalar_to_text(x))
+        assert copy == x and hash(copy) == hash(x)
         if x:
             assert x * (one / x) == one
+            assert 2 / x == two / x and (2 / x) * x == two
+            assert x ** -2 * x ** 2 == one
+        if y:
+            assert x / y * y == x
+        for op in (lambda: x + other, lambda: other - x, lambda: x * other, lambda: other / x):
+            with pytest.raises(TypeError):
+                op()
+    with pytest.raises(ZeroDivisionError):
+        one / zero
+    if hasattr(zero, "inverse"):
+        with pytest.raises(ZeroDivisionError):
+            zero.inverse()
 
 
 def test_cross_backend_polynomial_identities():
