@@ -28,6 +28,7 @@ from .scalars import _is_prime, smallest_prime_modulus, smallest_root_of_unity
 
 DEFAULT_SIZE_CAP = 100_000
 _EXACT_LIMIT = 2**53
+_BATCH = 64  # rows per dense batch of a block rank
 
 
 class SizeError(RuntimeError):
@@ -147,7 +148,7 @@ class _SparseRows:
         self.col_weights = col_weights
         self._rank = None
 
-    def rank(self, batch=64) -> int:
+    def rank(self) -> int:
         """Sum of the ranks of the blocks of equal row and column weight."""
         if self._rank is None:
             local = []  # index of each column among the columns of its weight
@@ -170,7 +171,7 @@ class _SparseRows:
                     block_row.append((local[col], val))
                 blocks[w].append(block_row)
             self._rank = sum(
-                _feed(_RowReducer(widths[w], self.p), rows, batch).rank
+                _feed(_RowReducer(widths[w], self.p), rows, _BATCH).rank
                 for w, rows in blocks.items()
             )
         return self._rank
@@ -214,7 +215,6 @@ class BarComplex:
         self.q = smallest_root_of_unity(self.p, a)
         self._qpow = [pow(self.q, k, self.p) for k in range(a)]
         self._diff_cache: dict[int, _SparseRows] = {}
-        self._rank_cache: dict[int, int] = {}
 
     # -- monomials: index u*a + v stands for y^u x^v ------------------------
 
@@ -329,15 +329,10 @@ class BarComplex:
         self._diff_cache[n] = result
         return result
 
-    def _rank(self, n: int) -> int:
-        if n not in self._rank_cache:
-            self._rank_cache[n] = self.bar_differential(n).rank()
-        return self._rank_cache[n]
-
     def bar_hh_dimension(self, n: int) -> int:
         """Cohomology dimension in degree n, entirely within this oracle."""
-        kernel = self.cochain_dim(n) - self._rank(n)
-        image = self._rank(n - 1) if n >= 1 else 0
+        kernel = self.cochain_dim(n) - self.bar_differential(n).rank()
+        image = self.bar_differential(n - 1).rank() if n >= 1 else 0
         return kernel - image
 
     # -- cup products --------------------------------------------------------

@@ -16,7 +16,7 @@ import sys
 from . import __version__
 from .algebra import QuantumCompleteIntersection, element_to_text, env_to_text
 from .bar import DEFAULT_SIZE_CAP, BarComplex, SizeError
-from .cohomology import dimension_table, standard_basis
+from .cohomology import BasisError, NotCocycleError, dimension_table, standard_basis
 from .resolution import GENERAL, differential, preferred_variant
 from .scalars import (
     cyclotomic_field,
@@ -99,6 +99,12 @@ def certificate(suite: str, config: dict, checks: list) -> dict:
     }
 
 
+def check_failed(suite: str, config: dict, name: str, exc: Exception) -> int:
+    """Print a one-check failing certificate whose witness is exc; exit 1."""
+    emit(certificate(suite, config, [(name, False, str(exc))]))
+    return 1
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -115,7 +121,10 @@ def cmd_dims(args) -> int:
 
 def cmd_basis(args) -> int:
     A = make_algebra(args)
-    classes = standard_basis(A, args.degree)
+    try:
+        classes = standard_basis(A, args.degree)
+    except BasisError as exc:
+        return check_failed("basis", {"a": args.a, "degree": args.degree}, "named basis", exc)
     out = {
         "schema": SCHEMA,
         "a": A.a,
@@ -138,10 +147,15 @@ def cmd_product(args) -> int:
     i = basis_index("--i", args.i, "--deg1", args.deg1, 2 * args.deg1 + 2)
     j = basis_index("--j", args.j, "--deg2", args.deg2, args.deg2 + 1)
     A = make_algebra(args)
-    left = standard_basis(A, args.deg1)[i]
-    right = standard_basis(A, args.deg2)[j]
-    cls, coords = yoneda_product(left, right)
-    target = standard_basis(A, args.deg1 + args.deg2)
+    try:
+        left = standard_basis(A, args.deg1)[i]
+        right = standard_basis(A, args.deg2)[j]
+        cls, coords = yoneda_product(left, right)
+        target = standard_basis(A, args.deg1 + args.deg2)
+    except (BasisError, NotCocycleError) as exc:
+        config = {"a": args.a, "deg1": args.deg1, "i": i, "deg2": args.deg2, "j": j}
+        name = "named basis" if isinstance(exc, BasisError) else "cocycle"
+        return check_failed("product", config, name, exc)
     out = {
         "schema": SCHEMA,
         "a": A.a,
@@ -165,14 +179,8 @@ def cmd_table(args) -> int:
     try:
         table = reduced_ring_table(A, args.max_degree)
     except TableMismatchError as exc:
-        emit(
-            certificate(
-                "table",
-                {"a": args.a, "max_degree": args.max_degree},
-                [("closed form", False, str(exc))],
-            )
-        )
-        return 1
+        config = {"a": args.a, "max_degree": args.max_degree}
+        return check_failed("table", config, "closed form", exc)
     obj = table.to_json_obj()
     for cell in obj["cells"]:
         if cell["product"] is None:

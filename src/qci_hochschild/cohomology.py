@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import AlgebraElement, QuantumCompleteIntersection, element_to_text
-from .linalg import SparseMatrix, Subspace, add_term, coset_basis, stack_rank
+from .linalg import SparseMatrix, add_term
 from .resolution import differential, preferred_variant
 from .scalars import k_sum
 
@@ -76,11 +76,10 @@ class Cochain:
 
 @dataclass
 class CohomologyClass:
-    """A cocycle together with its coordinates in the canonical coset basis."""
+    """A cocycle of one degree, named by its label when it is a basis class."""
 
     degree: int
     representative: Cochain
-    coordinates: list
     label: str = ""
 
     def __repr__(self):
@@ -198,28 +197,6 @@ def hh_dimension_tor(A: QuantumCompleteIntersection, n: int) -> int:
 # named cocycle bases in even degrees
 
 
-def _kernel_subspace(A, degree) -> Subspace:
-    key = ("cocycles", degree)
-    cached = A._cache.get(key)
-    if cached is None:
-        cached = hom_differential(A, degree + 1).kernel_basis()
-        A._cache[key] = cached
-    return cached
-
-
-def _image_subspace(A, degree) -> Subspace:
-    """Column space of the transpose differential into degree `degree`."""
-    key = ("coboundaries", degree)
-    cached = A._cache.get(key)
-    if cached is None:
-        if degree == 0:
-            cached = Subspace(A.dim, [], A.field)
-        else:
-            cached = hom_differential(A, degree).column_space()
-        A._cache[key] = cached
-    return cached
-
-
 def _standard_values(A, degree):
     """(label, generator index, value) triples for the even-degree basis."""
     a = A.a
@@ -239,26 +216,21 @@ def _standard_values(A, degree):
     return out
 
 
-def standard_basis(A: QuantumCompleteIntersection, degree: int) -> list:
-    """The 2*degree + 2 named classes in an even degree, fully verified.
+def _named_basis(A, degree):
+    """(classes, [named basis | coboundaries] matrix) of an even degree.
 
-    Every candidate is checked to be a cocycle, and the family is checked to
-    be independent modulo coboundaries; BasisError carries the first witness.
-    Returns CohomologyClass objects with coordinates over the canonical coset
-    basis supplied by the linear algebra layer.
+    Built and verified once per context.  The matrix gives the independence
+    check its rank and keeps the factorization that every express in this
+    degree solves with.
     """
-    if degree % 2 != 0 or degree < 0:
-        raise ValueError("named bases exist in even degrees")
     key = ("stdbasis", degree)
     cached = A._cache.get(key)
     if cached is not None:
         return cached
 
     hom_next = hom_differential(A, degree + 1)
-    image = _image_subspace(A, degree)
-    cocycles = _kernel_subspace(A, degree)
-
-    candidates = []
+    classes = []
+    entries = {}
     for label, index, value in _standard_values(A, degree):
         values = [A.zero()] * (degree + 1)
         values[index] = value
@@ -266,42 +238,47 @@ def standard_basis(A: QuantumCompleteIntersection, degree: int) -> list:
         vec = cochain.to_vector()
         if hom_next.apply(vec):
             raise BasisError(f"{label} in degree {degree} is not a cocycle")
-        candidates.append((label, cochain, vec))
+        for row, c in vec.items():
+            entries[(row, len(classes))] = c
+        classes.append(CohomologyClass(degree=degree, representative=cochain, label=label))
+
+    ncols = len(classes)
+    image_rank = 0
+    if degree >= 2:
+        hom_prev = hom_differential(A, degree)
+        for (row, col), c in hom_prev.entries.items():
+            entries[(row, ncols + col)] = c
+        ncols += hom_prev.cols
+        image_rank = hom_prev.rank()
+    solver = SparseMatrix((degree + 1) * A.dim, ncols, entries, A.field)
 
     expected = 2 * degree + 2
-    rank = stack_rank(image, [vec for _, _, vec in candidates], A.field)
-    if rank != image.dim + expected:
+    span = solver.rank() - image_rank
+    if span != expected:
         raise BasisError(
-            f"degree {degree}: classes span {rank - image.dim} directions "
+            f"degree {degree}: classes span {span} directions "
             f"modulo coboundaries, expected {expected}"
         )
-
-    canonical = coset_basis(image, cocycles)
-    columns = {}
-    ncols = len(canonical) + image.dim
-    for jcol, vec in enumerate(canonical + list(image.basis)):
-        for row, c in vec.items():
-            columns[(row, jcol)] = c
-    solver = SparseMatrix((degree + 1) * A.dim, ncols, columns, A.field)
-
-    classes = []
-    for label, cochain, vec in candidates:
-        solution = solver.solve(vec)
-        if solution is None:
-            raise BasisError(f"{label} could not be written in the coset basis")
-        coords = [
-            solution.get(j, A.field.zero()) for j in range(len(canonical))
-        ]
-        classes.append(
-            CohomologyClass(
-                degree=degree,
-                representative=cochain,
-                coordinates=coords,
-                label=label,
-            )
+    dim = hh_dimension_ext(A, degree)
+    if dim != expected:
+        raise BasisError(
+            f"degree {degree}: cohomology has dimension {dim}, "
+            f"so {expected} classes cannot span it"
         )
-    A._cache[key] = classes
-    return classes
+    A._cache[key] = classes, solver
+    return classes, solver
+
+
+def standard_basis(A: QuantumCompleteIntersection, degree: int) -> list:
+    """The 2*degree + 2 named classes in an even degree, fully verified.
+
+    Every candidate is checked to be a cocycle, the family to be independent
+    modulo coboundaries, and the cohomology to have dimension 2*degree + 2,
+    so the family is a basis; BasisError carries the first witness.
+    """
+    if degree % 2 != 0 or degree < 0:
+        raise ValueError("named bases exist in even degrees")
+    return _named_basis(A, degree)[0]
 
 
 @dataclass
@@ -313,32 +290,6 @@ class ExpressedCocycle:
 
     def is_zero_class(self) -> bool:
         return not any(self.coordinates)
-
-
-def _express_solver(A, degree, basis) -> SparseMatrix:
-    """[named basis | coboundaries] in an even degree, built once per context.
-
-    The matrix keeps its factorization, so every later express in this
-    degree only applies stored row operations.
-    """
-    key = ("expresssolver", degree)
-    cached = A._cache.get(key)
-    if cached is not None:
-        return cached
-    nbasis = len(basis)
-    entries = {}
-    for jcol, cls in enumerate(basis):
-        for row, c in cls.representative.to_vector().items():
-            entries[(row, jcol)] = c
-    ncols = nbasis
-    if degree >= 2:
-        hom_prev = hom_differential(A, degree)
-        for (row, col), c in hom_prev.entries.items():
-            entries[(row, nbasis + col)] = c
-        ncols += hom_prev.cols
-    solver = SparseMatrix((degree + 1) * A.dim, ncols, entries, A.field)
-    A._cache[key] = solver
-    return solver
 
 
 def express(A: QuantumCompleteIntersection, cochain: Cochain) -> ExpressedCocycle:
@@ -354,9 +305,9 @@ def express(A: QuantumCompleteIntersection, cochain: Cochain) -> ExpressedCocycl
     vec = cochain.to_vector()
     if hom_differential(A, degree + 1).apply(vec):
         raise NotCocycleError(f"cochain of degree {degree} is not a cocycle")
-    basis = standard_basis(A, degree)
+    basis, solver = _named_basis(A, degree)
     nbasis = len(basis)
-    solution = _express_solver(A, degree, basis).solve(vec)
+    solution = solver.solve(vec)
     if solution is None:
         raise NotCocycleError("cocycle failed to decompose over basis + coboundaries")
     coords = [solution.get(j, A.field.zero()) for j in range(nbasis)]

@@ -227,21 +227,15 @@ class SparseMatrix:
         pivots, by_input = self._factor()
         acc = {}
         for i, v in b.items():
-            if not v:
-                continue
             if not 0 <= i < self.rows:
                 raise ValueError(f"right-hand side index {i} outside 0..{self.rows - 1}")
             for k, e in by_input[i]:
-                prev = acc.get(k)
-                acc[k] = e * v if prev is None else prev + e * v
+                add_term(acc, k, e * v)
         x = {}
         for k in sorted(acc):
-            v = acc[k]
-            if not v:
-                continue
             if pivots[k] is None:
                 return None
-            x[pivots[k]] = v
+            x[pivots[k]] = acc[k]
         return x
 
     def __repr__(self):

@@ -203,9 +203,6 @@ class PrimeFieldScalar(_FieldScalar):
 
     __rmul__ = __mul__
 
-    def __pow__(self, e: int):
-        return PrimeFieldScalar(self.field, pow(self.value, e, self.field.modulus))
-
     def inverse(self):
         if self.value == 0:
             raise ZeroDivisionError("inverse of zero")

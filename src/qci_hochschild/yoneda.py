@@ -195,8 +195,8 @@ def yoneda_product(
     for (j, i), env in top.items():
         out_values[i] = out_values[i] + env.act(chi_values[j])
     product = Cochain(A, two_t + two_m, out_values)
-    expressed = express(A, product)
     basis = standard_basis(A, two_t + two_m)
+    expressed = express(A, product)
     coords = expressed.coordinates
     # name the result when it lands exactly on one basis class
     label = ""
@@ -205,12 +205,7 @@ def yoneda_product(
         label = basis[hits[0]].label
     elif not hits:
         label = "0"
-    cls = CohomologyClass(
-        degree=two_t + two_m,
-        representative=product,
-        coordinates=[],
-        label=label,
-    )
+    cls = CohomologyClass(degree=two_t + two_m, representative=product, label=label)
     return cls, coords
 
 

@@ -63,6 +63,72 @@ def test_product_command(capsys):
     assert payload["coordinates"] == {"xi_2": "1"}
 
 
+def non_cocycle_basis(monkeypatch):
+    """Make the first named class of every degree x on generator 0, which is
+    not a cocycle in degree 2 at a = 2, so standard_basis raises BasisError."""
+    import qci_hochschild.cohomology as coh
+
+    original = coh._standard_values
+
+    def broken(algebra, degree):
+        vals = original(algebra, degree)
+        label, index, _ = vals[0]
+        return [(label, index, algebra.x())] + vals[1:]
+
+    monkeypatch.setattr(coh, "_standard_values", broken)
+
+
+def test_basis_check_failure_exit_code(capsys, monkeypatch):
+    non_cocycle_basis(monkeypatch)
+    code, out = run(capsys, "basis", "--a", "2", "--degree", "2")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["status"] == "fail"
+    assert payload["checks"] == [
+        {"name": "named basis", "status": "fail",
+         "witness": "xi_0 in degree 2 is not a cocycle"}
+    ]
+
+
+def test_product_basis_failure_exit_code(capsys, monkeypatch):
+    non_cocycle_basis(monkeypatch)
+    code, out = run(
+        capsys,
+        "product", "--a", "2", "--deg1", "2", "--i", "1", "--deg2", "0", "--j", "0",
+    )
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["status"] == "fail"
+    assert payload["checks"][0]["name"] == "named basis"
+    assert "is not a cocycle" in payload["checks"][0]["witness"]
+
+
+def test_product_not_cocycle_exit_code(capsys, monkeypatch):
+    # add x on generator 0 to the product cochain before it is expressed, so
+    # the product itself fails the cocycle check in express
+    import qci_hochschild.yoneda as yo
+    from qci_hochschild.cohomology import Cochain
+
+    original = yo.express
+
+    def perturbed(A, cochain):
+        values = [cochain.values[0] + A.x()] + cochain.values[1:]
+        return original(A, Cochain(A, cochain.degree, values))
+
+    monkeypatch.setattr(yo, "express", perturbed)
+    code, out = run(
+        capsys,
+        "product", "--a", "2", "--deg1", "0", "--i", "0", "--deg2", "2", "--j", "0",
+    )
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["config"] == {"a": 2, "deg1": 0, "i": 0, "deg2": 2, "j": 0}
+    assert payload["checks"] == [
+        {"name": "cocycle", "status": "fail",
+         "witness": "cochain of degree 2 is not a cocycle"}
+    ]
+
+
 def test_verify_relations(capsys):
     code, out = run(capsys, "verify", "--a", "4", "--suite", "relations")
     assert code == 0

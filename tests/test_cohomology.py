@@ -1,5 +1,6 @@
 import functools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,8 @@ from qci_hochschild.cohomology import (
     hom_differential,
     standard_basis,
 )
-from qci_hochschild.scalars import cyclotomic_field, k_sum, prime_field_for
+from qci_hochschild.linalg import SparseMatrix
+from qci_hochschild.scalars import cyclotomic_field, k_sum, prime_field_for, rational_field
 
 
 def make(a, backend="cyclotomic"):
@@ -242,6 +244,49 @@ def test_basis_error_on_fake_class():
     finally:
         coh._standard_values = original
         A._cache.pop(("stdbasis", 2), None)
+
+
+def test_basis_error_on_class_dependent_modulo_coboundaries(monkeypatch):
+    # at a = 3, y^2 x^2 on generator 1 is a coboundary in degree 2; put it in
+    # place of eta-_1 and the family stays independent as vectors but spans
+    # one direction too few modulo coboundaries
+    import qci_hochschild.cohomology as coh
+
+    A = make(3)
+    socle = A.xpow(2) * A.ypow(2)
+    original = coh._standard_values
+
+    def with_coboundary(algebra, degree):
+        vals = original(algebra, degree)
+        label, index, _ = vals[-1]
+        assert (label, index) == ("eta-_1", 1)
+        return vals[:-1] + [(label, index, socle)]
+
+    monkeypatch.setattr(coh, "_standard_values", with_coboundary)
+    fake = Cochain(A, 2, [A.zero(), socle, A.zero()]).to_vector()
+    assert hom_differential(A, 2).solve(fake) is not None
+    vectors = {}
+    for col, (_, index, value) in enumerate(with_coboundary(A, 2)):
+        values = [A.zero()] * 3
+        values[index] = value
+        for row, c in Cochain(A, 2, values).to_vector().items():
+            vectors[(row, col)] = c
+    assert SparseMatrix(3 * A.dim, 6, vectors, A.field).rank() == 6
+    with pytest.raises(
+        BasisError, match="classes span 5 directions modulo coboundaries, expected 6"
+    ):
+        standard_basis(A, 2)
+
+
+@pytest.mark.parametrize("a", (2, 3))
+def test_basis_error_when_classes_do_not_span(a):
+    # at q = 1 the algebra is commutative, every element is central, and the
+    # two named degree-0 classes span too little of HH^0 = A
+    A = QuantumCompleteIntersection(a, rational_field(1), q=Fraction(1))
+    with pytest.raises(
+        BasisError, match=f"cohomology has dimension {a * a}, so 2 classes cannot span it"
+    ):
+        standard_basis(A, 0)
 
 
 # -- express ---------------------------------------------------------------------------

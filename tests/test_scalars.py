@@ -256,6 +256,8 @@ def test_field_axioms_randomized(field):
                 op()
     with pytest.raises(ZeroDivisionError):
         one / zero
+    with pytest.raises(ZeroDivisionError):
+        zero ** -2
     if hasattr(zero, "inverse"):
         with pytest.raises(ZeroDivisionError):
             zero.inverse()
