@@ -43,7 +43,6 @@ from .cohomology import (
 from .linalg import NotContainedError, SparseMatrix, Subspace, coset_basis
 from .resolution import (
     DifferentialMatrix,
-    FreeModuleElement,
     OrderError,
     VariantError,
     augmentation,

@@ -28,7 +28,7 @@ from .scalars import _is_prime, smallest_prime_modulus, smallest_root_of_unity
 
 DEFAULT_SIZE_CAP = 100_000
 _EXACT_LIMIT = 2**53
-_BATCH = 64  # rows per dense batch of a block rank
+_BATCH = 64  # rows per dense batch fed to a _RowReducer
 
 
 class SizeError(RuntimeError):
@@ -112,10 +112,10 @@ class _RowReducer:
         return block[0]
 
 
-def _feed(reducer: _RowReducer, rows, batch: int) -> _RowReducer:
+def _feed(reducer: _RowReducer, rows) -> _RowReducer:
     """Feed sparse rows, lists of (col, value) pairs, to the reducer in dense
-    batches of at most `batch` rows; empty rows are skipped."""
-    block = np.zeros((min(batch, len(rows)), reducer.ncols), dtype=np.float64)
+    batches of at most _BATCH rows; empty rows are skipped."""
+    block = np.zeros((min(_BATCH, len(rows)), reducer.ncols), dtype=np.float64)
     filled = 0
     for row in rows:
         if not row:
@@ -171,7 +171,7 @@ class _SparseRows:
                     block_row.append((local[col], val))
                 blocks[w].append(block_row)
             self._rank = sum(
-                _feed(_RowReducer(widths[w], self.p), rows, _BATCH).rank
+                _feed(_RowReducer(widths[w], self.p), rows).rank
                 for w, rows in blocks.items()
             )
         return self._rank
@@ -372,7 +372,7 @@ class BarComplex:
     def cocycle_basis(self, n: int):
         """Dense kernel basis vectors of the degree-n coboundary."""
         diff = self.bar_differential(n)
-        reducer = _feed(_RowReducer(diff.ncols, self.p), diff.rows, 2048)
+        reducer = _feed(_RowReducer(diff.ncols, self.p), diff.rows)
         pivot_set = set(reducer.pivots)
         vectors = []
         for free in range(diff.ncols):
@@ -399,7 +399,7 @@ class BarComplex:
         for i, row in enumerate(diff.rows):
             for col, val in row:
                 cols.setdefault(col, []).append((i, val))
-        return _feed(reducer, [cols[col] for col in sorted(cols)], 512)
+        return _feed(reducer, [cols[col] for col in sorted(cols)])
 
     def span_dimension_mod_coboundaries(self, cochains, n: int) -> int:
         """Dimension of the span of the given degree-n cocycles in cohomology."""

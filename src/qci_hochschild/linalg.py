@@ -57,7 +57,7 @@ def _rref(rows, ncols):
         if best is None:
             continue
         row = remaining.pop(best[1])
-        inv = row[col] ** 0 / row[col]
+        inv = 1 / row[col]
         row = {c: v * inv for c, v in row.items()}
         for other in chain(remaining, pivot_rows):
             factor = other.get(col)
@@ -259,7 +259,7 @@ def coset_basis(inner: Subspace, outer: Subspace) -> list:
         residue = _reduce_vector(vec, pivots, rows)
         if residue:
             lead = min(residue)
-            inv = residue[lead] ** 0 / residue[lead]
+            inv = 1 / residue[lead]
             pivots.append(lead)
             rows.append({c: v * inv for c, v in residue.items()})
             chosen.append(dict(vec))

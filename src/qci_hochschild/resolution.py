@@ -101,42 +101,6 @@ def a2_band_elements(A: QuantumCompleteIntersection):
     return beta_y, beta_x, alpha_y, alpha_x
 
 
-class FreeModuleElement:
-    """Element of the rank-(n+1) free module: one tensor coefficient per generator."""
-
-    __slots__ = ("algebra", "degree", "coords")
-
-    def __init__(self, algebra, degree, coords):
-        if len(coords) != degree + 1:
-            raise ValueError("a degree-n element carries n+1 coordinates")
-        self.algebra = algebra
-        self.degree = degree
-        self.coords = list(coords)
-
-    @classmethod
-    def generator(cls, algebra, degree, index):
-        coords = [algebra.env_zero() for _ in range(degree + 1)]
-        coords[index] = algebra.env_one()
-        return cls(algebra, degree, coords)
-
-    def __add__(self, other):
-        return FreeModuleElement(
-            self.algebra,
-            self.degree,
-            [a + b for a, b in zip(self.coords, other.coords)],
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FreeModuleElement)
-            and self.degree == other.degree
-            and self.coords == other.coords
-        )
-
-    def is_zero(self) -> bool:
-        return not any(self.coords)
-
-
 class DifferentialMatrix:
     """Columns of d_n: P_n -> P_(n-1) over the enveloping algebra."""
 
@@ -162,19 +126,6 @@ class DifferentialMatrix:
 
     def is_minimal(self) -> bool:
         return all(env.in_radical() for env in self.entries.values())
-
-    def apply(self, element: FreeModuleElement) -> FreeModuleElement:
-        """Image of a free-module element one degree down."""
-        n = self.degree
-        if element.degree != n:
-            raise ValueError(f"element of degree {element.degree} fed to d_{n}")
-        out = [self.algebra.env_zero() for _ in range(n)]
-        for i, coeff in enumerate(element.coords):
-            if not coeff:
-                continue
-            for j, env in self.column(i):
-                out[j] = out[j] + coeff * env
-        return FreeModuleElement(self.algebra, n - 1, out)
 
     def as_linear_matrix(self) -> SparseMatrix:
         """The same map as a k-linear matrix of size (n a^4) x ((n+1) a^4)."""
@@ -303,8 +254,6 @@ class Augmentation:
         self.algebra = algebra
 
     def __call__(self, coefficient):
-        if isinstance(coefficient, FreeModuleElement):
-            coefficient = coefficient.coords[0]
         return coefficient.act(self.algebra.one())
 
     def as_linear_matrix(self) -> SparseMatrix:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 
 
 class NoRootError(ValueError):
@@ -19,23 +20,46 @@ class NoRootError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# cyclotomic polynomials
+# polynomials: the one convolution and the one long division behind Phi_a and
+# every product and inverse in Q(zeta_a)
 
 
-def _poly_divexact(num, den):
-    """Quotient num/den in Z[t] for monic den; raises if not exact."""
-    num = list(num)
+def _poly_mul(xs, ys):
+    """Product of two coefficient lists, low degree first."""
+    out = [0] * (len(xs) + len(ys) - 1)
+    for i, x in enumerate(xs):
+        if x:
+            for j, y in enumerate(ys, i):
+                if y:
+                    # store a first term: adding a Fraction to 0 costs as much as a product
+                    t = out[j]
+                    out[j] = t + x * y if t else x * y
+    return out
+
+
+def _poly_divmod(num, den):
+    """Quotient and remainder of num by den, low degree first.
+
+    den must have a nonzero top coefficient, and be monic unless its
+    coefficients lie in a field; the remainder has exactly len(den) - 1
+    coefficients.
+    """
     dn = len(den) - 1
-    quot = [0] * (len(num) - dn)
+    lead = den[-1]
+    rem = list(num) + [0] * (dn - len(num))
+    quot = [0] * max(len(num) - dn, 0)
     for k in range(len(quot) - 1, -1, -1):
-        c = num[k + dn]
-        quot[k] = c
+        c = rem[k + dn]
         if c:
-            for j, d in enumerate(den):
-                num[k + j] -= c * d
-    if any(num):
-        raise ArithmeticError("polynomial division is not exact")
-    return quot
+            if lead != 1:
+                c = c / lead
+            quot[k] = c
+            for j, d in enumerate(den[:dn], k):
+                if d == 1:  # most nonzero coefficients of Phi_a are 1
+                    rem[j] -= c
+                elif d:
+                    rem[j] -= c * d
+    return quot, rem[:dn]
 
 
 @lru_cache(maxsize=None)
@@ -50,7 +74,9 @@ def cyclotomic_polynomial(a: int) -> tuple[int, ...]:
     poly = [-1] + [0] * (a - 1) + [1]
     for d in range(1, a):
         if a % d == 0:
-            poly = _poly_divexact(poly, cyclotomic_polynomial(d))
+            poly, rem = _poly_divmod(poly, cyclotomic_polynomial(d))
+            if any(rem):
+                raise ArithmeticError("polynomial division is not exact")
     return tuple(poly)
 
 
@@ -273,78 +299,35 @@ class CyclotomicField:
             raise ValueError("order must be positive")
         self.order = order
         self.root_order = order
-        phi = cyclotomic_polynomial(order)
-        self.degree = len(phi) - 1
-        self._phi = [Fraction(c) for c in phi]
-        # t^(degree+k) mod Phi for k = 0 .. degree-2, used to fold products back
-        self._reduction = []
-        if self.degree > 1:
-            current = [-c for c in self._phi[:-1]]
-            self._reduction.append(list(current))
-            for _ in range(self.degree - 2):
-                shifted = [Fraction(0)] + current[:-1]
-                top = current[-1]
-                current = [s + top * r for s, r in zip(shifted, self._reduction[0])]
-                self._reduction.append(list(current))
+        self._phi = cyclotomic_polynomial(order)
+        self.degree = len(self._phi) - 1
+
+    def _reduce(self, poly):
+        """Remainder of a coefficient list modulo Phi: a degree-tuple of Fractions."""
+        rem = _poly_divmod(poly, self._phi)[1]
+        return tuple(c if type(c) is Fraction else Fraction(c) for c in rem)
 
     def _mul(self, xs, ys):
-        d = self.degree
-        if d == 1:
-            return (xs[0] * ys[0],)
-        conv = [Fraction(0)] * (2 * d - 1)
-        for i, x in enumerate(xs):
-            if x:
-                for j, y in enumerate(ys):
-                    if y:
-                        conv[i + j] += x * y
-        out = conv[:d]
-        for k in range(d - 1):
-            c = conv[d + k]
-            if c:
-                red = self._reduction[k]
-                for j in range(d):
-                    out[j] += c * red[j]
-        return tuple(out)
+        return self._reduce(_poly_mul(xs, ys))
 
     def _inverse(self, xs):
-        # extended Euclid in Q[t] against Phi
-        r0, r1 = list(self._phi), list(xs)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
+        # extended Euclid in Q[t] against Phi; s1 * xs = r1 (mod Phi) throughout.
+        # Phi enters as Fractions, so no quotient is ever taken of two ints.
+        r0, r1 = [Fraction(c) for c in self._phi], list(xs)
+        s0, s1 = [0], [1]
         while True:
-            while r1 and not r1[-1]:
+            while not r1[-1]:
                 r1.pop()
             if len(r1) == 1:
-                inv = 1 / r1[0]
-                out = [c * inv for c in s1]
-                out += [Fraction(0)] * (self.degree - len(out))
-                return tuple(out[: self.degree])
-            q = [Fraction(0)] * (len(r0) - len(r1) + 1)
-            rem = list(r0)
-            for k in range(len(q) - 1, -1, -1):
-                c = rem[k + len(r1) - 1] / r1[-1]
-                q[k] = c
-                if c:
-                    for j, d in enumerate(r1):
-                        rem[k + j] -= c * d
-            while rem and not rem[-1]:
-                rem.pop()
-            qs1 = [Fraction(0)] * (len(q) + len(s1) - 1)
-            for i, a in enumerate(q):
-                if a:
-                    for j, b in enumerate(s1):
-                        qs1[i + j] += a * b
-            news = [x - y for x, y in zip(s0 + [Fraction(0)] * len(qs1), qs1 + [Fraction(0)] * len(s0))]
-            r0, r1 = r1, rem if rem else [Fraction(0)]
-            s0, s1 = s1, news
+                return self._reduce([c / r1[0] for c in s1])
+            quot, rem = _poly_divmod(r0, r1)
+            qs1 = _poly_mul(quot, s1)
+            r0, r1 = r1, rem
+            s0, s1 = s1, [x - y for x, y in zip_longest(s0, qs1, fillvalue=0)]
 
     @property
     def root(self):
-        if self.degree == 1:
-            # Phi linear: zeta = -phi[0] (orders 1 and 2)
-            return CyclotomicScalar(self, (-self._phi[0],))
-        coeffs = [Fraction(0)] * self.degree
-        coeffs[1] = Fraction(1)
-        return CyclotomicScalar(self, coeffs)
+        return CyclotomicScalar(self, self._reduce([0, 1]))
 
     def zero(self):
         return CyclotomicScalar(self, (Fraction(0),) * self.degree)
@@ -536,28 +519,26 @@ def primitive_root(field):
     return field.root
 
 
+def _partial_sums(alpha, n: int) -> list:
+    """[1, 1 + alpha, ..., 1 + alpha + ... + alpha^n], with n products."""
+    power = total = alpha ** 0
+    out = [total]
+    for _ in range(n):
+        power = power * alpha
+        total = total + power
+        out.append(total)
+    return out
+
+
 def k_sum(t: int, alpha):
     """Geometric sum 1 + alpha + ... + alpha^(t-1)."""
     if t < 1:
         raise ValueError("t must be positive")
-    total = alpha ** 0
-    power = alpha ** 0
-    for _ in range(t - 1):
-        power = power * alpha
-        total = total + power
-    return total
+    return _partial_sums(alpha, t - 1)[-1]
 
 
 def c_sequence(a: int, q) -> list:
     """Partial geometric sums (c_0, ..., c_(a-2)) with c_i = 1 + q + ... + q^i."""
     if a < 2:
         raise ValueError("a must be at least 2")
-    out = []
-    total = q ** 0
-    out.append(total)
-    power = q ** 0
-    for _ in range(a - 2):
-        power = power * q
-        total = total + power
-        out.append(total)
-    return out
+    return _partial_sums(q, a - 2)

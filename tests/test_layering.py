@@ -1,0 +1,66 @@
+"""The package's import layering, read from the source with ast.
+
+The primary routes form one chain, and a module may only import modules
+below it.  The mod-p oracle in bar.py stands apart: it takes nothing from
+the primary routes but the scalars, and only the CLI and the package root
+reach it, so its cross-check shares no linear algebra with what it checks.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "qci_hochschild"
+CHAIN = ("scalars", "linalg", "algebra", "resolution", "cohomology", "yoneda", "cli")
+MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
+
+
+def imported_modules(name):
+    """Package modules that module `name` imports, anywhere in its body."""
+    tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 0 and (node.module or "").split(".")[0] != "qci_hochschild":
+                continue
+            parts = (node.module or "").split(".")
+            if node.level == 0:
+                parts = parts[1:]
+            if parts and parts[0]:
+                out.add(parts[0])
+            else:  # from . import x: x is a module or a name of the package root
+                out.update(a.name if a.name in MODULES else "__init__" for a in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "qci_hochschild":
+                    out.add(parts[1] if len(parts) > 1 else "__init__")
+    return out
+
+
+def test_every_module_is_placed():
+    assert set(MODULES) == set(CHAIN) | {"bar", "__init__"}
+
+
+@pytest.mark.parametrize("name", CHAIN)
+def test_chain_imports_only_downward(name):
+    below = set(CHAIN[: CHAIN.index(name)])
+    upward = {m for m in imported_modules(name) if m in CHAIN and m not in below}
+    assert not upward, f"{name} imports {sorted(upward)} from its own level or above"
+
+
+def test_oracle_imports_only_scalars():
+    assert imported_modules("bar") <= {"scalars"}
+
+
+def test_only_cli_and_root_import_the_oracle():
+    importers = {name for name in MODULES if "bar" in imported_modules(name)}
+    assert importers <= {"cli", "__init__"}
+    assert "cli" in importers
+
+
+def test_import_reader_sees_function_level_imports():
+    # resolution imports c_sequence inside beta_element, not at module level
+    assert "scalars" in imported_modules("resolution")
+    assert "__init__" in imported_modules("cli")

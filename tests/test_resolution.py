@@ -194,28 +194,6 @@ def test_two_band_shape_and_minimality():
             assert d.is_minimal()
 
 
-# -- free module elements ------------------------------------------------------
-
-def test_free_module_element_through_two_differentials():
-    from qci_hochschild.resolution import FreeModuleElement
-
-    A = make(3)
-    gen = FreeModuleElement.generator(A, 3, 1)
-    once = differential(A, 3).apply(gen)
-    assert once.degree == 2
-    assert not once.is_zero()
-    twice = differential(A, 2).apply(once)
-    assert twice.is_zero()
-
-
-def test_free_module_element_shape_checked():
-    from qci_hochschild.resolution import FreeModuleElement
-
-    A = make(2)
-    with pytest.raises(ValueError):
-        FreeModuleElement(A, 2, [A.env_zero()])
-
-
 # -- augmentation -----------------------------------------------------------------
 
 def test_augmentation_values():

@@ -3,8 +3,11 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qci_hochschild.scalars import (
+    CyclotomicScalar,
     NoRootError,
     c_sequence,
     cyclotomic_field,
@@ -42,6 +45,18 @@ def poly_div(num, den):
     return quot
 
 
+def reduce_mod(poly, phi):
+    """Remainder of poly modulo the monic phi, padded to deg(phi) Fractions."""
+    d = len(phi) - 1
+    rem = [Fraction(c) for c in poly]
+    while len(rem) > d:
+        # t^m = t^(m-d) * t^d and t^d = -(phi_0 + ... + phi_(d-1) t^(d-1))
+        top = rem.pop()
+        for j in range(d):
+            rem[len(rem) - d + j] -= top * phi[j]
+    return rem + [Fraction(0)] * (d - len(rem))
+
+
 def test_cyclotomic_polynomial_small():
     assert cyclotomic_polynomial(1) == (-1, 1)
     assert cyclotomic_polynomial(2) == (1, 1)
@@ -68,6 +83,37 @@ def test_cyclotomic_product_recovers_t_a_minus_1(a):
             prod = poly_mul(prod, list(cyclotomic_polynomial(d)))
     expected = [-1] + [0] * (a - 1) + [1]
     assert prod == expected
+
+
+def assert_canonical(s):
+    F = s.field
+    assert type(s.coeffs) is tuple and len(s.coeffs) == F.degree
+    assert all(type(c) is Fraction for c in s.coeffs), s.coeffs
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_cyclotomic_core_against_oracle(data):
+    a = data.draw(st.integers(1, 12), label="a")
+    F = cyclotomic_field(a)
+    phi = cyclotomic_polynomial(a)
+    coeffs = st.lists(
+        st.fractions(min_value=-5, max_value=5, max_denominator=4),
+        min_size=F.degree,
+        max_size=F.degree,
+    )
+    x = CyclotomicScalar(F, data.draw(coeffs, label="x"))
+    y = CyclotomicScalar(F, data.draw(coeffs, label="y"))
+    n = data.draw(st.integers(-9, 9), label="n")
+    product = x * y
+    assert list(product.coeffs) == reduce_mod(poly_mul(x.coeffs, y.coeffs), phi)
+    assert list(F.root.coeffs) == reduce_mod([0, 1], phi)
+    for s in (product, F.root, F.from_int(n), F.zero(), F.one()):
+        assert_canonical(s)
+    if x:
+        inv = x.inverse()
+        assert_canonical(inv)
+        assert reduce_mod(poly_mul(inv.coeffs, x.coeffs), phi) == [1] + [0] * (F.degree - 1)
 
 
 def test_primitive_root_cyclotomic_is_the_generator():
@@ -223,8 +269,6 @@ def test_field_axioms_randomized(field):
     def rand():
         if hasattr(field, "degree"):
             coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(field.degree)]
-            from qci_hochschild.scalars import CyclotomicScalar
-
             return CyclotomicScalar(field, coeffs)
         if hasattr(field, "modulus"):
             return field.from_int(rng.randint(0, field.modulus - 1))
@@ -266,6 +310,7 @@ def test_field_axioms_randomized(field):
 def test_cross_backend_polynomial_identities():
     # any polynomial identity in q valid in the cyclotomic backend holds in
     # the prime backend under the root correspondence
+    vanishing = set()
     for a in (3, 4, 5):
         C = cyclotomic_field(a)
         P = prime_field_for(a)
@@ -276,8 +321,11 @@ def test_cross_backend_polynomial_identities():
             for k, c in enumerate(coeffs):
                 vc = vc + C.from_int(c) * qc ** k
                 vp = vp + P.from_int(c) * qp ** k
-            # zero on one side need not force zero on the other in general,
-            # but the canonical relations must transfer
+            # zeta -> root is a ring map from Z[zeta] onto F_p, so a zero in
+            # Q(zeta_a) stays zero in F_p (the converse need not hold)
+            if not vc:
+                assert not vp, (a, coeffs)
+                vanishing.add((a, tuple(coeffs)))
         assert not (qc ** a - C.one())
         assert not (qp ** a - P.one())
         for m in range(1, a):
@@ -293,6 +341,7 @@ def test_cross_backend_polynomial_identities():
             sc = sc + cc[i] * qc ** i
             sp = sp + cp[i] * qp ** i
         assert bool(sc) == bool(sp) == False
+    assert vanishing == {(3, (1, 1, 1)), (4, (0, 1, -1, 1, -1))}
 
 
 def test_scalar_text_round_trip():
@@ -300,8 +349,6 @@ def test_scalar_text_round_trip():
     for field in fields_for_axioms():
         for _ in range(10):
             if hasattr(field, "degree"):
-                from qci_hochschild.scalars import CyclotomicScalar
-
                 s = CyclotomicScalar(
                     field,
                     [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(field.degree)],
