@@ -1,15 +1,21 @@
 """Sparse exact linear algebra over any scalar backend.
 
-Everything reduces to one canonical reduced-row-echelon routine, so ranks,
-kernels, solutions and coset representatives are deterministic and unique.
-Pivot columns are visited left to right; among candidate pivot rows the
-sparsest one wins (ties broken by index) to keep fill-in down on the large
-band matrices this package produces.
+Every reduction splits its rows into connected blocks (rows that share a
+column, directly or through other rows) and runs one elimination loop on
+each block over that block's columns only.  The canonical reduced row
+echelon form of a block-diagonal matrix is the union of its blocks' forms,
+so ranks, kernels, solutions and coset representatives stay deterministic
+and unique.  A rank needs only forward elimination: no pivot row is
+normalised and nothing is back-substituted.  Within a block pivot columns
+are visited left to right; among candidate pivot rows the sparsest one wins
+(ties broken by index) to keep fill-in down on the large band matrices this
+package produces.
 """
 
 from __future__ import annotations
 
 from itertools import chain
+from operator import itemgetter
 
 
 class NotContainedError(ValueError):
@@ -37,17 +43,47 @@ def _subtract(vec, factor, row):
             del vec[c]
 
 
-def _rref(rows, ncols):
-    """Reduced row echelon form of a list of sparse rows (dicts col -> scalar).
+def _blocks(rows, ncols):
+    """Split nonempty sparse rows over columns 0..ncols-1 into connected blocks.
 
-    Mutates nothing; returns (pivot_columns, pivot_rows) with unit pivots and
-    all pivot columns cleared from every other row.  The result is the unique
-    RREF of the row space, independent of the pivot-row selection order.
+    Returns one (rows, columns) pair per block: its rows in input order and
+    every column they hold, sorted.  No column belongs to two blocks, and a
+    row operation inside a block only mixes columns the block already holds.
     """
-    remaining = [dict(r) for r in rows if r]
-    pivots = []
+    parent = list(range(ncols))  # union-find over columns
+
+    def find(c):
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    for row in rows:
+        cols = iter(row)
+        root = find(next(cols))
+        for c in cols:
+            c = find(c)
+            if c != root:
+                parent[c] = root
+    blocks = {}
+    for row in rows:
+        block_rows, block_cols = blocks.setdefault(find(next(iter(row))), ([], set()))
+        block_rows.append(row)
+        block_cols.update(row)
+    return [(block_rows, sorted(block_cols)) for block_rows, block_cols in blocks.values()]
+
+
+def _eliminate(rows, cols, reduced):
+    """The elimination loop on one block; yields (pivot column, pivot row).
+
+    Consumes rows.  With reduced, each pivot row is normalised and its
+    column cleared from every other row.  Without it the pivot column is
+    cleared from the rows below only, and the pivot is inverted only when
+    some row below still holds its column.
+    """
+    remaining = rows
     pivot_rows = []
-    for col in range(ncols):
+    for col in cols:
         best = None
         for idx, row in enumerate(remaining):
             if col in row:
@@ -57,16 +93,33 @@ def _rref(rows, ncols):
         if best is None:
             continue
         row = remaining.pop(best[1])
-        inv = 1 / row[col]
-        row = {c: v * inv for c, v in row.items()}
-        for other in chain(remaining, pivot_rows):
-            factor = other.get(col)
-            if factor is not None:
-                _subtract(other, factor, row)
+        targets = [r for r in chain(remaining, pivot_rows if reduced else ()) if col in r]
+        if reduced or targets:
+            inv = 1 / row[col]
+        if reduced:
+            row = {c: v * inv for c, v in row.items()}
+        for other in targets:
+            factor = other[col]
+            _subtract(other, factor if reduced else factor * inv, row)
         remaining = [r for r in remaining if r]
-        pivots.append(col)
         pivot_rows.append(row)
-    return pivots, pivot_rows
+        yield col, row
+
+
+def _rref(rows, ncols, reduced=True):
+    """Row echelon form of sparse rows (dicts col -> scalar, 0 <= col < ncols).
+
+    Mutates nothing; returns (pivot_columns, pivot_rows), pivot columns
+    increasing, reduced block by block.  With reduced the pivots are units
+    and all pivot columns are cleared from every other row: the unique RREF
+    of the row space, independent of the pivot-row selection order.  Without
+    it the rows are only in echelon form, which is enough for the rank.
+    """
+    pivots = []
+    for block_rows, block_cols in _blocks([dict(r) for r in rows if r], ncols):
+        pivots.extend(_eliminate(block_rows, block_cols, reduced))
+    pivots.sort(key=itemgetter(0))
+    return [col for col, _ in pivots], [row for _, row in pivots]
 
 
 def _reduce_vector(vec, pivots, pivot_rows):
@@ -83,6 +136,10 @@ class Subspace:
     """Subspace of k^n held in canonical reduced echelon form."""
 
     def __init__(self, ambient, vectors, field):
+        for vec in vectors:
+            for c in vec:
+                if not 0 <= c < ambient:
+                    raise ValueError(f"coordinate {c} outside 0..{ambient - 1}")
         self.ambient = ambient
         self.field = field
         self.pivots, self.basis = _rref(vectors, ambient)
@@ -113,10 +170,14 @@ class SparseMatrix:
     """Immutable sparse matrix; entries is a dict (row, col) -> nonzero scalar."""
 
     def __init__(self, rows, cols, entries, field):
+        for i, j in entries:
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise ValueError(f"entry {(i, j)} outside a {rows}x{cols} matrix")
         self.rows = rows
         self.cols = cols
         self.entries = {k: v for k, v in entries.items() if v}
         self.field = field
+        self._rank_cache = None
         self._rref_cache = None
         self._factor_cache = None
         self._col_cache = None
@@ -153,7 +214,12 @@ class SparseMatrix:
         return self._rref_cache
 
     def rank(self) -> int:
-        return len(self._rref()[0])
+        """Forward elimination only, unless the canonical RREF is already cached."""
+        if self._rref_cache is not None:
+            return len(self._rref_cache[0])
+        if self._rank_cache is None:
+            self._rank_cache = len(_rref(self.row_dicts(), self.cols, reduced=False)[0])
+        return self._rank_cache
 
     def kernel_basis(self) -> Subspace:
         """Canonical basis of the right null space; dim = cols - rank."""
@@ -269,5 +335,4 @@ def coset_basis(inner: Subspace, outer: Subspace) -> list:
 def stack_rank(subspace: Subspace, vectors, field) -> int:
     """Rank of subspace basis stacked with extra vectors."""
     rows = [dict(r) for r in subspace.basis] + [dict(v) for v in vectors]
-    pivots, _ = _rref(rows, subspace.ambient)
-    return len(pivots)
+    return len(_rref(rows, subspace.ambient, reduced=False)[0])

@@ -354,17 +354,25 @@ class CyclotomicField:
         return " + ".join(parts) if parts else "0"
 
     def scalar_from_text(self, text: str):
-        coeffs = [Fraction(0)] * self.degree
+        """Inverse of scalar_to_text; a term c*z^k may take any integer k."""
+        poly = [Fraction(0)] * self.order  # zeta^order = 1, so k counts mod order
         text = text.strip()
         if text != "0":
             for part in text.split(" + "):
-                if "*z" in part:
-                    c, _, zpart = part.partition("*z")
-                    k = int(zpart[1:]) if zpart.startswith("^") else 1
-                else:
-                    c, k = part, 0
-                coeffs[k] += Fraction(c)
-        return CyclotomicScalar(self, coeffs)
+                c, star, power = part.partition("*z")
+                try:
+                    if not star:
+                        k = 0
+                    elif not power:
+                        k = 1
+                    elif power[0] == "^" and power[1:].lstrip("-").isdecimal():
+                        k = int(power[1:])
+                    else:
+                        raise ValueError
+                    poly[k % self.order] += Fraction(c)
+                except (ValueError, ZeroDivisionError):  # Fraction("1/0") raises the latter
+                    raise ValueError(f"malformed term {part!r} in {text!r}") from None
+        return CyclotomicScalar(self, self._reduce(poly))
 
     def describe(self) -> str:
         return f"cyclotomic({self.order})"

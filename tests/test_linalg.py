@@ -1,14 +1,20 @@
 import random
+import re
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qci_hochschild.algebra import QuantumCompleteIntersection
+from qci_hochschild.cohomology import delta_matrix, hom_differential
 from qci_hochschild.linalg import (
     NotContainedError,
     SparseMatrix,
     Subspace,
+    _blocks,
+    _reduce_vector,
     _rref,
     coset_basis,
     stack_rank,
@@ -147,6 +153,18 @@ def test_kernel_image_composition_bound():
     assert image.dim <= kernel.dim
 
 
+@pytest.mark.parametrize("key", [(0, 5), (0, -1), (1, 0), (-1, 0)])
+def test_entries_outside_the_shape_are_rejected(key):
+    with pytest.raises(ValueError, match=re.escape(str(key))):
+        SparseMatrix(1, 1, {(0, 0): Fraction(1), key: Fraction(1)}, R)
+
+
+@pytest.mark.parametrize("coord", [2, -1])
+def test_subspace_rejects_coordinates_outside_the_ambient(coord):
+    with pytest.raises(ValueError, match=f"coordinate {coord} "):
+        Subspace(2, [{0: Fraction(1)}, {coord: Fraction(1)}], R)
+
+
 def test_solve_rejects_index_outside_rows():
     m = SparseMatrix.identity(2, R)
     for i in (-1, 2):
@@ -159,13 +177,46 @@ def test_solve_rejects_index_outside_rows():
 FIELDS = (R, cyclotomic_field(3), prime_field_for(3))
 
 
+def whole_matrix_rref(rows, ncols):
+    """Reference: the canonical RREF as one reduction over every row and column."""
+    remaining = [dict(r) for r in rows if r]
+    pivots = []
+    pivot_rows = []
+    for col in range(ncols):
+        best = None
+        for idx, row in enumerate(remaining):
+            if col in row:
+                key = (len(row), idx)
+                if best is None or key < best:
+                    best = key
+        if best is None:
+            continue
+        row = remaining.pop(best[1])
+        inv = 1 / row[col]
+        row = {c: v * inv for c, v in row.items()}
+        for other in chain(remaining, pivot_rows):
+            factor = other.get(col)
+            if factor is not None:
+                for c, v in row.items():
+                    nv = other.get(c)
+                    nv = -factor * v if nv is None else nv - factor * v
+                    if nv:
+                        other[c] = nv
+                    else:
+                        del other[c]
+        remaining = [r for r in remaining if r]
+        pivots.append(col)
+        pivot_rows.append(row)
+    return pivots, pivot_rows
+
+
 def one_shot_solve(m, b):
     """Reference: reduce [M | b] from scratch, free variables zero."""
     aug = m.row_dicts()
     for i, v in b.items():
         if v:
             aug[i][m.cols] = v
-    pivots, rows = _rref(aug, m.cols + 1)
+    pivots, rows = whole_matrix_rref(aug, m.cols + 1)
     x = {}
     for col, row in zip(pivots, rows):
         if col == m.cols:
@@ -234,3 +285,117 @@ def test_repeated_solves_in_any_order(system, rng):
             x[m.cols] = m.field.one()  # a caller mutating its answer must not reach the cache
     assert [twin.solve(b) for b in rhs] == expected
     assert m.entries == twin.entries
+
+
+# -- reduction by connected blocks ---------------------------------------------
+
+
+@st.composite
+def sparse_matrices(draw):
+    """A sparse matrix over one of the backends, made of a few small blocks.
+
+    The blocks' rows and columns are shuffled together, a stray entry may
+    join two blocks, and a few extra rows are combinations of earlier ones,
+    so ranks fall short.
+    """
+    field = draw(st.sampled_from(FIELDS))
+
+    def entry():
+        c = draw(st.sampled_from((1, -1, 2, -3)))
+        return field.from_int(c) * field.root ** draw(st.integers(0, 2))
+
+    shapes = draw(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=4))
+    rows = sum(r for r, _ in shapes)
+    cols = sum(c for _, c in shapes)
+    row_at = draw(st.permutations(range(rows)))
+    col_at = draw(st.permutations(range(cols)))
+    data = [dict() for _ in range(rows)]
+    top = left = 0
+    for r, c in shapes:
+        for i in range(top, top + r):
+            for j in range(left, left + c):
+                if draw(st.booleans()):
+                    data[row_at[i]][col_at[j]] = entry()
+        top, left = top + r, left + c
+    for _ in range(draw(st.integers(0, 1))):
+        data[draw(st.integers(0, rows - 1))][draw(st.integers(0, cols - 1))] = entry()
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = draw(st.integers(0, len(data) - 1)), draw(st.integers(0, len(data) - 1))
+        c = entry()
+        combo = dict(data[j])
+        for col, v in data[i].items():
+            combo[col] = combo.get(col, field.zero()) + c * v
+        data.append(combo)
+    entries = {(i, j): v for i, row in enumerate(data) for j, v in row.items()}
+    return SparseMatrix(len(data), cols, entries, field)
+
+
+def transpose(m):
+    return SparseMatrix(m.cols, m.rows, {(j, i): v for (i, j), v in m.entries.items()}, m.field)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_matrices())
+def test_blockwise_rref_equals_whole_matrix_reference(m):
+    pivots, rows = _rref(m.row_dicts(), m.cols)
+    ref_pivots, ref_rows = whole_matrix_rref(m.row_dicts(), m.cols)
+    assert pivots == ref_pivots
+    assert rows == ref_rows
+    assert [list(r) for r in rows] == [list(r) for r in ref_rows]  # same key order, so the same text
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_matrices(), st.randoms(use_true_random=False))
+def test_rref_does_not_depend_on_row_order(m, rng):
+    rows = m.row_dicts()
+    shuffled = list(rows)
+    rng.shuffle(shuffled)
+    assert _rref(shuffled, m.cols) == _rref(rows, m.cols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_matrices())
+def test_forward_rank_equals_rref_pivots_and_transpose_rank(m):
+    ref_pivots, ref_rows = whole_matrix_rref(m.row_dicts(), m.cols)
+    pivots, rows = _rref(m.row_dicts(), m.cols, reduced=False)
+    assert pivots == ref_pivots
+    for col, row in zip(pivots, rows):  # echelon rows of the same row space
+        assert min(row) == col
+        assert not _reduce_vector(row, ref_pivots, ref_rows)
+    assert m.rank() == len(ref_pivots) == transpose(m).rank()
+    twin = SparseMatrix(m.rows, m.cols, m.entries, m.field)
+    twin.kernel_basis()
+    assert twin.rank() == len(ref_pivots)  # read from the cached RREF
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_matrices())
+def test_blocks_partition_rows_into_connected_blocks(m):
+    rows = [r for r in m.row_dicts() if r]
+    blocks = _blocks(rows, m.cols)
+    assert sorted(id(r) for block_rows, _ in blocks for r in block_rows) == sorted(map(id, rows))
+    seen = set()
+    for block_rows, block_cols in blocks:
+        assert block_cols == sorted(set().union(*block_rows))
+        assert seen.isdisjoint(block_cols)
+        seen.update(block_cols)
+        reached = set(block_rows[0])  # the block is connected through shared columns
+        grew = True
+        while grew:
+            grew = False
+            for row in block_rows:
+                if not reached.issuperset(row) and not reached.isdisjoint(row):
+                    reached.update(row)
+                    grew = True
+        assert reached == set(block_cols)
+
+
+@pytest.mark.parametrize("a", (3, 4, 5))
+def test_package_ranks_agree_across_backends_and_reference(a):
+    C = QuantumCompleteIntersection(a, cyclotomic_field(a))
+    P = QuantumCompleteIntersection(a, prime_field_for(a))
+    for n in range(1, 7):
+        for build in (hom_differential, delta_matrix):
+            cyc, prime = build(C, n), build(P, n)
+            expected = len(whole_matrix_rref(cyc.row_dicts(), cyc.cols)[0])
+            assert cyc.rank() == prime.rank() == expected, (a, n, build.__name__)

@@ -344,6 +344,29 @@ def test_cross_backend_polynomial_identities():
     assert vanishing == {(3, (1, 1, 1)), (4, (0, 1, -1, 1, -1))}
 
 
+def test_cyclotomic_text_reduces_any_power_of_z():
+    F = cyclotomic_field(3)
+    z = F.root
+    assert F.scalar_from_text("1*z^2") == z ** 2 == F.from_int(-1) - z
+    assert F.scalar_from_text("2*z^-1") == 2 * z ** -1 == F.from_int(-2) - 2 * z
+    assert F.scalar_from_text("1*z^3 + 1/2*z^-3") == F.from_int(3) / 2
+    for bad in ("1*zz", "1*z^", "1*z^x", "1*z^+1", "z", "1 + ", "1/0*z"):
+        with pytest.raises(ValueError, match="malformed term"):
+            F.scalar_from_text(bad)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_cyclotomic_text_round_trip_property(data):
+    F = cyclotomic_field(data.draw(st.integers(1, 12), label="a"))
+    fractions = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+    x = CyclotomicScalar(F, data.draw(st.lists(fractions, min_size=F.degree, max_size=F.degree)))
+    assert F.scalar_from_text(F.scalar_to_text(x)) == x
+    c = data.draw(fractions, label="c")
+    k = data.draw(st.integers(-40, 40), label="k")
+    assert F.scalar_from_text(f"{c}*z^{k}") == F.from_int(c.numerator) / c.denominator * F.root ** k
+
+
 def test_scalar_text_round_trip():
     rng = random.Random(5)
     for field in fields_for_axioms():
