@@ -136,6 +136,7 @@ class Subspace:
     """Subspace of k^n held in canonical reduced echelon form."""
 
     def __init__(self, ambient, vectors, field):
+        vectors = list(vectors)  # read twice: checked, then reduced
         for vec in vectors:
             for c in vec:
                 if not 0 <= c < ambient:
@@ -214,9 +215,7 @@ class SparseMatrix:
         return self._rref_cache
 
     def rank(self) -> int:
-        """Forward elimination only, unless the canonical RREF is already cached."""
-        if self._rref_cache is not None:
-            return len(self._rref_cache[0])
+        """Forward elimination only: no normalising, no back-substitution."""
         if self._rank_cache is None:
             self._rank_cache = len(_rref(self.row_dicts(), self.cols, reduced=False)[0])
         return self._rank_cache
