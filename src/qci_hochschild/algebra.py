@@ -11,6 +11,7 @@ All element values are immutable once built; operations return new objects.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .linalg import SparseMatrix, add_term
@@ -169,67 +170,56 @@ def _require_same(lhs, rhs):
         raise MixedContextError("operands live in different algebras")
 
 
-class AlgebraElement:
-    """Finite linear combination of normal-form monomials y^u x^v."""
+def _bilinear(lhs, rhs, mono_op) -> dict:
+    """Terms of the sum of c1 c2 mono_op(k1, k2) over both term lists.
+
+    mono_op maps two basis keys to (scalar, key), or to None when they vanish.
+    """
+    terms = {}
+    for k1, c1 in lhs.terms.items():
+        for k2, c2 in rhs.terms.items():
+            hit = mono_op(k1, k2)
+            if hit is None:
+                continue
+            scale, key = hit
+            add_term(terms, key, c1 * c2 * scale)
+    return terms
+
+
+class _Combination:
+    """Finite linear combination of basis keys; _UNIT is the key of the unit."""
 
     __slots__ = ("algebra", "terms")
+    _UNIT = None
 
     def __init__(self, algebra, terms):
         self.algebra = algebra
-        self.terms = {m: c for m, c in terms.items() if c}
+        self.terms = {k: c for k, c in terms.items() if c}
 
     def __add__(self, other):
         _require_same(self, other)
         terms = dict(self.terms)
-        for m, c in other.terms.items():
-            add_term(terms, m, c)
-        return AlgebraElement(self.algebra, terms)
+        for k, c in other.terms.items():
+            add_term(terms, k, c)
+        return type(self)(self.algebra, terms)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return AlgebraElement(self.algebra, {m: -c for m, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        _require_same(self, other)
-        A = self.algebra
-        terms = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                hit = A.mono_mul(m1, m2)
-                if hit is None:
-                    continue
-                scale, mono = hit
-                add_term(terms, mono, c1 * c2 * scale)
-        return AlgebraElement(A, terms)
+        return type(self)(self.algebra, {k: -c for k, c in self.terms.items()})
 
     def scale(self, scalar):
         if not scalar:
-            return AlgebraElement(self.algebra, {})
-        return AlgebraElement(
-            self.algebra, {m: c * scalar for m, c in self.terms.items()}
-        )
-
-    def coefficient(self, u, v):
-        c = self.terms.get((u, v))
-        return self.algebra.field.zero() if c is None else c
+            return type(self)(self.algebra, {})
+        return type(self)(self.algebra, {k: c * scalar for k, c in self.terms.items()})
 
     def in_radical(self) -> bool:
-        """True when there is no constant term; A is local, so this is rad(A)."""
-        return (0, 0) not in self.terms
-
-    def is_scalar(self) -> bool:
-        return all(m == (0, 0) for m in self.terms)
-
-    def to_vector(self):
-        A = self.algebra
-        return {A.mono_index(m): c for m, c in self.terms.items()}
+        """No term is the unit; A and A (x) A^op are local, so this is the radical."""
+        return self._UNIT not in self.terms
 
     def __eq__(self, other):
-        if not isinstance(other, AlgebraElement):
+        if not isinstance(other, type(self)):
             return NotImplemented
         return self.terms == other.terms
 
@@ -240,76 +230,46 @@ class AlgebraElement:
         return f"<{element_to_text(self)}>"
 
 
-class EnvElement:
+class AlgebraElement(_Combination):
+    """Finite linear combination of normal-form monomials y^u x^v."""
+
+    __slots__ = ()
+    _UNIT = (0, 0)
+
+    def __mul__(self, other):
+        if not isinstance(other, AlgebraElement):
+            return NotImplemented
+        _require_same(self, other)
+        return AlgebraElement(self.algebra, _bilinear(self, other, self.algebra.mono_mul))
+
+    def coefficient(self, u, v):
+        c = self.terms.get((u, v))
+        return self.algebra.field.zero() if c is None else c
+
+    def is_scalar(self) -> bool:
+        return all(m == (0, 0) for m in self.terms)
+
+    def to_vector(self):
+        A = self.algebra
+        return {A.mono_index(m): c for m, c in self.terms.items()}
+
+
+class EnvElement(_Combination):
     """Finite linear combination of basis tensors in A (x) A^op."""
 
-    __slots__ = ("algebra", "terms")
-
-    def __init__(self, algebra, terms):
-        self.algebra = algebra
-        self.terms = {t: c for t, c in terms.items() if c}
-
-    def __add__(self, other):
-        _require_same(self, other)
-        terms = dict(self.terms)
-        for t, c in other.terms.items():
-            add_term(terms, t, c)
-        return EnvElement(self.algebra, terms)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return EnvElement(self.algebra, {t: -c for t, c in self.terms.items()})
+    __slots__ = ()
+    _UNIT = ((0, 0), (0, 0))
 
     def __mul__(self, other):
         if not isinstance(other, EnvElement):
             return NotImplemented
         _require_same(self, other)
-        A = self.algebra
-        terms = {}
-        for t1, c1 in self.terms.items():
-            for t2, c2 in other.terms.items():
-                hit = A.env_mono_mul(t1, t2)
-                if hit is None:
-                    continue
-                scale, tensor = hit
-                add_term(terms, tensor, c1 * c2 * scale)
-        return EnvElement(A, terms)
-
-    def scale(self, scalar):
-        if not scalar:
-            return EnvElement(self.algebra, {})
-        return EnvElement(self.algebra, {t: c * scalar for t, c in self.terms.items()})
+        return EnvElement(self.algebra, _bilinear(self, other, self.algebra.env_mono_mul))
 
     def act(self, element: AlgebraElement) -> AlgebraElement:
         """Bimodule action on A: (m1 (x) m2) . m = m1 * m * m2, extended linearly."""
         _require_same(self, element)
-        A = self.algebra
-        terms = {}
-        for tensor, c1 in self.terms.items():
-            for m, c2 in element.terms.items():
-                hit = A.act_mono(tensor, m)
-                if hit is None:
-                    continue
-                scale, mono = hit
-                add_term(terms, mono, c1 * c2 * scale)
-        return AlgebraElement(A, terms)
-
-    def in_radical(self) -> bool:
-        """No term is the unit tensor 1 (x) 1."""
-        return ((0, 0), (0, 0)) not in self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, EnvElement):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __repr__(self):
-        return f"<{env_to_text(self)}>"
+        return AlgebraElement(self.algebra, _bilinear(self, element, self.algebra.act_mono))
 
 
 # ---------------------------------------------------------------------------
@@ -416,6 +376,11 @@ def _scalar_text(field, c) -> str:
     return f"({text})" if " + " in text else text
 
 
+def _legs(key):
+    """The monomials of a basis key: (m,) in A, (m1, m2) in A (x) A^op."""
+    return key if isinstance(key[0], tuple) else (key,)
+
+
 def _split_top_level(text: str, sep: str):
     parts = []
     depth = 0
@@ -445,50 +410,48 @@ def _parse_scalar(field, text: str):
     return field.scalar_from_text(text)
 
 
-def element_to_text(element: AlgebraElement) -> str:
-    A = element.algebra
+_MONO = re.compile(r"y\^([0-9]+) x\^([0-9]+)")
+
+
+def element_to_text(element) -> str:
+    """Terms "c * y^u x^v" of A, or "c * y^u1 x^v1 (x) y^u2 x^v2" of A (x) A^op."""
+    field = element.algebra.field
     parts = []
-    for (u, v) in sorted(element.terms):
-        c = element.terms[(u, v)]
-        parts.append(f"{_scalar_text(A.field, c)} * y^{u} x^{v}")
+    for key, c in sorted(element.terms.items()):
+        monos = " (x) ".join(f"y^{u} x^{v}" for u, v in _legs(key))
+        parts.append(f"{_scalar_text(field, c)} * {monos}")
     return " + ".join(parts) if parts else "0"
+
+
+env_to_text = element_to_text
+
+
+def _from_text(cls, A: QuantumCompleteIntersection, text: str):
+    """Parse what element_to_text writes; a malformed term raises ValueError."""
+    text = text.strip()
+    if text == "0":
+        return cls(A, {})
+    width = len(_legs(cls._UNIT))
+    terms = {}
+    for part in _split_top_level(text, " + "):
+        scalar_text, sep, mono_text = part.rpartition(" * ")
+        matches = [_MONO.fullmatch(leg.strip()) for leg in mono_text.split(" (x) ")]
+        if not sep or None in matches or len(matches) != width:
+            shape = " (x) ".join(["y^u x^v"] * width)
+            raise ValueError(f"term {part.strip()!r} is not 'c * {shape}'")
+        legs = [(int(m[1]), int(m[2])) for m in matches]
+        if max(max(leg) for leg in legs) >= A.a:
+            raise ValueError(f"term {part.strip()!r} has an exponent outside 0..{A.a - 1}")
+        key = tuple(legs) if width > 1 else legs[0]
+        if key in terms:
+            raise ValueError(f"term {part.strip()!r} repeats an earlier monomial")
+        terms[key] = _parse_scalar(A.field, scalar_text)
+    return cls(A, terms)
 
 
 def element_from_text(A: QuantumCompleteIntersection, text: str) -> AlgebraElement:
-    text = text.strip()
-    if text == "0":
-        return A.zero()
-    terms = {}
-    for part in _split_top_level(text, " + "):
-        scalar_text, _, mono_text = part.rpartition(" * ")
-        ypart, xpart = mono_text.split()
-        u = int(ypart[2:])
-        v = int(xpart[2:])
-        terms[(u, v)] = _parse_scalar(A.field, scalar_text)
-    return A.element(terms)
-
-
-def env_to_text(element: EnvElement) -> str:
-    A = element.algebra
-    parts = []
-    for ((u1, v1), (u2, v2)) in sorted(element.terms):
-        c = element.terms[((u1, v1), (u2, v2))]
-        parts.append(
-            f"{_scalar_text(A.field, c)} * y^{u1} x^{v1} (x) y^{u2} x^{v2}"
-        )
-    return " + ".join(parts) if parts else "0"
+    return _from_text(AlgebraElement, A, text)
 
 
 def env_from_text(A: QuantumCompleteIntersection, text: str) -> EnvElement:
-    text = text.strip()
-    if text == "0":
-        return A.env_zero()
-    terms = {}
-    for part in _split_top_level(text, " + "):
-        scalar_text, _, mono_text = part.rpartition(" * ")
-        left, _, right = mono_text.partition(" (x) ")
-        y1, x1 = left.split()
-        y2, x2 = right.split()
-        tensor = ((int(y1[2:]), int(x1[2:])), (int(y2[2:]), int(x2[2:])))
-        terms[tensor] = _parse_scalar(A.field, scalar_text)
-    return A.env(terms)
+    return _from_text(EnvElement, A, text)

@@ -39,10 +39,6 @@ ENV_BACKEND = "QCIHH_BACKEND"
 ENV_SIZE_CAP = "QCIHH_SIZE_CAP"
 
 
-class CheckFailure(Exception):
-    """A requested check failed; the payload still gets printed."""
-
-
 def make_field(name: str, a: int):
     name = name.strip()
     if name == "cyclotomic":

@@ -142,9 +142,7 @@ def delta_matrix(A: QuantumCompleteIntersection, n: int) -> SparseMatrix:
     qp = A.q_power
     one = A.field.one()
 
-    def K(m):
-        return k_sum(a, qp(m))
-
+    K = [k_sum(a, qp(m)) for m in range(a + 2)]  # the geometric sums K(m), m <= a + 1
     entries = {}
 
     def put(row_i, mono, col, scalar):
@@ -158,9 +156,9 @@ def delta_matrix(A: QuantumCompleteIntersection, n: int) -> SparseMatrix:
                 if even:
                     if i % 2 == 0:
                         if i <= n - 1 and u == 0:
-                            put(i, (a - 1, v), col, qp(1) * K(v + 1))
+                            put(i, (a - 1, v), col, qp(1) * K[v + 1])
                         if i >= 1 and v == 0:
-                            put(i - 1, (u, a - 1), col, K(u + 1))
+                            put(i - 1, (u, a - 1), col, K[u + 1])
                     else:
                         if i <= n - 1 and u + 1 < a:
                             put(i, (u + 1, v), col, qp(v + 1) - qp(a - 1))
@@ -171,10 +169,10 @@ def delta_matrix(A: QuantumCompleteIntersection, n: int) -> SparseMatrix:
                         if i <= n - 1 and u + 1 < a:
                             put(i, (u + 1, v), col, qp(a - 1) - qp(v))
                         if i >= 1 and v == 0:
-                            put(i - 1, (u, a - 1), col, K(u + 2))
+                            put(i - 1, (u, a - 1), col, K[u + 2])
                     else:
                         if i <= n - 1 and u == 0:
-                            put(i, (a - 1, v), col, qp(1) * K(v + 2))
+                            put(i, (a - 1, v), col, qp(1) * K[v + 2])
                         if i >= 1 and v + 1 < a:
                             put(i - 1, (u, v + 1), col, qp(u + 1) - one)
     matrix = SparseMatrix(n * a2, (n + 1) * a2, entries, A.field)

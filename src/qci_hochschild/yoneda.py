@@ -2,13 +2,16 @@
 
 A scalar-valued even cocycle lifts to a family of module maps h_s one row up
 the resolution; composing the other factor with h_(2m) realizes the product.
-For a = 2 the lifting is the bare convolution with an alternating sign in odd
-levels.  For a >= 3 odd-indexed columns pick up correction factors built from
-the beta elements:
+Entry (j, i) of h_s is the coefficient p_(i-j) times a correction factor
+that depends only on the parities of s, i and j, built from the beta
+elements:
 
-    omega_plus(j) = beta_x(-1) beta_y(1)   (j odd; 1 for j even)
-    eps_x(j) = -beta_x(0) for j odd, 1 for j even
-    eps_y(j) = -beta_y(0) for j even, 1 for j odd
+    omega_plus = beta_x(-1) beta_y(1)   (s even, i even, j odd)
+    eps_x = -beta_x(0)                  (s odd, i even, j odd)
+    eps_y = -beta_y(0)                  (s odd, i odd, j even)
+
+and 1 everywhere else.  At a = 2 the same rule holds with the factors
+1, -1, -1: the bare convolution with an alternating sign in odd levels.
 
 Note on eps_x: the commuting-square conditions pin it to -beta_x(0); with
 -beta_x(1) in its place the odd-level squares fail, which verify_lifting
@@ -73,6 +76,49 @@ def _scalar_value(p):
     return p.coefficient(0, 0)
 
 
+def _lifted_values(values) -> list:
+    """The scalars of an even-degree cochain to be lifted."""
+    vals = [_scalar_value(p) for p in values]
+    if (len(vals) - 1) % 2 != 0:
+        raise ValueError("liftings are built for even-degree cochains")
+    return vals
+
+
+def _correction_factors(A: QuantumCompleteIntersection) -> dict:
+    """Factor of entry (j, i) of h_s by the parities (s, i, j); 1 when absent.
+
+    Built once per context.  At a = 2, where c = (1), the beta formulas give
+    1, -1, -1; beta_element keeps its OrderError there, so they are spelled
+    out.
+    """
+    key = ("lifting factors",)
+    factors = A._cache.get(key)
+    if factors is None:
+        one = A.env_one()
+        if A.a < 3:
+            omega_plus, eps_x, eps_y = one, -one, -one
+        else:
+            omega_plus = beta_element(A, "x", -1) * beta_element(A, "y", 1)
+            eps_x = -beta_element(A, "x", 0)
+            eps_y = -beta_element(A, "y", 0)
+        factors = {(0, 0, 1): omega_plus, (1, 0, 1): eps_x, (1, 1, 0): eps_y}
+        A._cache[key] = factors
+    return factors
+
+
+def _lifting_level(A, vals, s, factors) -> dict:
+    """h_s as (j, i) -> factor * p_(i-j), for j <= s and 0 <= i - j <= degree."""
+    degree = len(vals) - 1
+    one = A.env_one()
+    entries = {}
+    for i in range(degree + s + 1):
+        for j in range(max(0, i - degree), min(s, i) + 1):
+            p = vals[i - j]
+            if p:
+                entries[(j, i)] = factors.get((s % 2, i % 2, j % 2), one).scale(p)
+    return entries
+
+
 def build_lifting(
     A: QuantumCompleteIntersection,
     values,
@@ -84,48 +130,17 @@ def build_lifting(
     """Assemble h_0..h_(s_max) for a degree-2t cochain given by its values.
 
     values may be field scalars or scalar AlgebraElements.  The private
-    keyword hooks substitute the odd-column correction factors; tests use
-    them as negative controls.
+    keyword hooks substitute the correction factors; tests use them as
+    negative controls.
     """
-    vals = [_scalar_value(p) for p in values]
-    degree = len(vals) - 1
-    if degree % 2 != 0:
-        raise ValueError("liftings are built for even-degree cochains")
-
-    one_env = A.env_one()
-    if A.a >= 3:
-        omega_plus = _omega_plus if _omega_plus is not None else (
-            beta_element(A, "x", -1) * beta_element(A, "y", 1)
-        )
-        eps_x = _eps_x if _eps_x is not None else -beta_element(A, "x", 0)
-        eps_y = _eps_y if _eps_y is not None else -beta_element(A, "y", 0)
-
-    maps = {}
-    for s in range(s_max + 1):
-        entries = {}
-        for i in range(degree + s + 1):
-            lo = max(0, i - degree)
-            for j in range(lo, min(s, i) + 1):
-                p = vals[i - j]
-                if not p:
-                    continue
-                if A.a == 2:
-                    factor = one_env
-                    if s % 2 == 1 and (i + j) % 2 == 1:
-                        entries[(j, i)] = factor.scale(-p)
-                        continue
-                    entries[(j, i)] = factor.scale(p)
-                else:
-                    if s % 2 == 0:
-                        factor = omega_plus if (i % 2 == 0 and j % 2 == 1) else one_env
-                    else:
-                        if i % 2 == 0:
-                            factor = eps_x if j % 2 == 1 else one_env
-                        else:
-                            factor = eps_y if j % 2 == 0 else one_env
-                    entries[(j, i)] = factor.scale(p)
-        maps[s] = entries
-    return LiftingFamily(A, degree, vals, s_max, maps)
+    vals = _lifted_values(values)
+    hooks = {(0, 0, 1): _omega_plus, (1, 0, 1): _eps_x, (1, 1, 0): _eps_y}
+    factors = {
+        key: factor if hooks[key] is None else hooks[key]
+        for key, factor in _correction_factors(A).items()
+    }
+    maps = {s: _lifting_level(A, vals, s, factors) for s in range(s_max + 1)}
+    return LiftingFamily(A, len(vals) - 1, vals, s_max, maps)
 
 
 def verify_lifting(family: LiftingFamily) -> CheckReport:
@@ -188,8 +203,8 @@ def yoneda_product(
     A = chi.representative.algebra
     two_m = chi.degree
     two_t = xi.degree
-    family = build_lifting(A, xi.representative.values, two_m)
-    top = family.maps[two_m]
+    vals = _lifted_values(xi.representative.values)
+    top = _lifting_level(A, vals, two_m, _correction_factors(A))
     out_values = [A.zero() for _ in range(two_t + two_m + 1)]
     chi_values = chi.representative.values
     for (j, i), env in top.items():
@@ -287,11 +302,6 @@ class NilpotencyCertificate:
 # the reduced even ring
 
 
-def _scalar_class(A, degree, index) -> CohomologyClass:
-    basis = standard_basis(A, degree)
-    return basis[index]  # scalar classes come first, index 0..degree
-
-
 @dataclass
 class ProductTable:
     """All pairwise products of the scalar classes up to a degree bound."""
@@ -348,8 +358,9 @@ def reduced_ring_table(A: QuantumCompleteIntersection, max_degree: int) -> Produ
         for dt in range(0, max_degree - dm + 1, 2):
             for l in range(dm + 1):
                 for r in range(dt + 1):
-                    chi = _scalar_class(A, dm, l)
-                    xi = _scalar_class(A, dt, r)
+                    # scalar classes come first in the basis, index 0..degree
+                    chi = standard_basis(A, dm)[l]
+                    xi = standard_basis(A, dt)[r]
                     _, coords = yoneda_product(chi, xi)
                     target = standard_basis(A, dm + dt)
                     expected = closed_form(dm, l, dt, r)

@@ -1,8 +1,11 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qci_hochschild.algebra import (
     MixedContextError,
@@ -328,6 +331,60 @@ def test_env_text_round_trip():
     assert env_from_text(A, env_to_text(e)) == e
     assert env_to_text(A.env_zero()) == "0"
     assert env_from_text(A, "0") == A.env_zero()
+
+
+CONTEXTS = {(a, backend): make(a, backend) for a in (2, 3, 5) for backend in ("cyclotomic", "prime")}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_env_text_round_trip_property(data):
+    A = CONTEXTS[data.draw(st.sampled_from(sorted(CONTEXTS)), label="context")]
+    mono = st.tuples(st.integers(0, A.a - 1), st.integers(0, A.a - 1))
+    raw = data.draw(
+        st.dictionaries(
+            st.tuples(mono, mono),
+            st.tuples(st.integers(-6, 6), st.integers(0, A.a - 1)),
+            max_size=6,
+        ),
+        label="terms",
+    )
+    e = A.env({t: A.field.from_int(c) * A.q_power(k) for t, (c, k) in raw.items()})
+    text = env_to_text(e)
+    assert env_from_text(A, text) == e
+    assert env_to_text(env_from_text(A, text)) == text
+
+
+@pytest.mark.parametrize(
+    "text, problem",
+    [
+        ("1 * y^3 x^0", "exponent outside 0..2"),  # not in normal form: y^3 = 0
+        ("1 * y^1 x^-1", "is not 'c * y^u x^v'"),
+        ("1 * z^0 q^1", "is not 'c * y^u x^v'"),  # used to parse as x
+        ("y^0 x^1", "is not 'c * y^u x^v'"),
+        ("1 * y^0 x^0 (x) y^0 x^0", "is not 'c * y^u x^v'"),
+        ("2 * y^1 x^1", "repeats an earlier monomial"),  # used to keep only the last
+    ],
+)
+def test_element_text_rejects_malformed_terms(text, problem):
+    A = make(3)
+    with pytest.raises(ValueError, match=re.escape(f"term {text!r} ") + ".*" + re.escape(problem)):
+        element_from_text(A, "1 * y^1 x^1 + " + text)
+
+
+@pytest.mark.parametrize(
+    "text, problem",
+    [
+        ("1 * y^0 x^3 (x) y^0 x^0", "exponent outside 0..2"),
+        ("1 * y^0 x^0 (x) y^-1 x^0", "is not 'c * y^u x^v (x) y^u x^v'"),
+        ("1 * y^0 x^0 (x) z^0 q^1", "is not 'c * y^u x^v (x) y^u x^v'"),
+        ("1 * y^1 x^0", "is not 'c * y^u x^v (x) y^u x^v'"),
+    ],
+)
+def test_env_text_rejects_malformed_terms(text, problem):
+    A = make(3)
+    with pytest.raises(ValueError, match=re.escape(f"term {text!r} ") + ".*" + re.escape(problem)):
+        env_from_text(A, text)
 
 
 def test_rational_scalar_text_in_elements():

@@ -157,6 +157,20 @@ def test_delta_odd_kernel_monomials():
                     assert i * a2 + A.mono_index((u, a - 1)) not in cols_hit
 
 
+@pytest.mark.parametrize("a", (2, 3, 5))
+def test_delta_computes_each_geometric_sum_once(monkeypatch, a):
+    # one build weights its entries with K(m) for m <= a + 1 only
+    import qci_hochschild.cohomology as co
+
+    calls = []
+    monkeypatch.setattr(co, "k_sum", lambda t, alpha: calls.append(alpha) or k_sum(t, alpha))
+    A = make(a)
+    for n in (1, 2, 5):
+        calls.clear()
+        delta_matrix(A, n)
+        assert calls == [A.q_power(m) for m in range(a + 2)]
+
+
 @pytest.mark.parametrize("a", (3, 4, 5))
 def test_delta_kernel_and_image_counts(a):
     A = make(a)

@@ -1,7 +1,7 @@
 import pytest
 
 from qci_hochschild.algebra import QuantumCompleteIntersection
-from qci_hochschild.cohomology import Cochain, standard_basis
+from qci_hochschild.cohomology import Cochain, CohomologyClass, standard_basis
 from qci_hochschild.resolution import OrderError, beta_element
 from qci_hochschild.scalars import cyclotomic_field, prime_field_for, rational_field
 from qci_hochschild.yoneda import (
@@ -29,7 +29,101 @@ def unit_values(A, degree, r):
     return values
 
 
+def reference_lifting(A, values, s_max):
+    """The per-a lifting loop the package ran before its one parity rule.
+
+    Kept as an independent reference: a = 2 takes the bare convolution with
+    a sign in odd levels, a >= 3 picks its factor by nested parity tests.
+    """
+    vals = [p.coefficient(0, 0) if hasattr(p, "is_scalar") else p for p in values]
+    degree = len(vals) - 1
+    one_env = A.env_one()
+    if A.a >= 3:
+        omega_plus = beta_element(A, "x", -1) * beta_element(A, "y", 1)
+        eps_x = -beta_element(A, "x", 0)
+        eps_y = -beta_element(A, "y", 0)
+    maps = {}
+    for s in range(s_max + 1):
+        entries = {}
+        for i in range(degree + s + 1):
+            lo = max(0, i - degree)
+            for j in range(lo, min(s, i) + 1):
+                p = vals[i - j]
+                if not p:
+                    continue
+                if A.a == 2:
+                    if s % 2 == 1 and (i + j) % 2 == 1:
+                        entries[(j, i)] = one_env.scale(-p)
+                        continue
+                    entries[(j, i)] = one_env.scale(p)
+                else:
+                    if s % 2 == 0:
+                        factor = omega_plus if (i % 2 == 0 and j % 2 == 1) else one_env
+                    else:
+                        if i % 2 == 0:
+                            factor = eps_x if j % 2 == 1 else one_env
+                        else:
+                            factor = eps_y if j % 2 == 0 else one_env
+                    entries[(j, i)] = factor.scale(p)
+        maps[s] = entries
+    return maps
+
+
+def compose_with_top(chi, xi):
+    """The product cochain: chi composed with the reference's top map for xi."""
+    A = chi.representative.algebra
+    top = reference_lifting(A, xi.representative.values, chi.degree)[chi.degree]
+    out = [A.zero() for _ in range(chi.degree + xi.degree + 1)]
+    for (j, i), env in top.items():
+        out[i] = out[i] + env.act(chi.representative.values[j])
+    return out
+
+
 # -- liftings -------------------------------------------------------------------
+
+@pytest.mark.parametrize("backend", ("cyclotomic", "prime"))
+@pytest.mark.parametrize("a", (2, 3, 4, 5))
+def test_lifting_maps_equal_reference(a, backend):
+    A = make(a, backend)
+    for t in range(4):
+        for r in range(2 * t + 1):
+            values = unit_values(A, 2 * t, r)
+            got = build_lifting(A, values, 6).maps
+            want = reference_lifting(A, values, 6)
+            assert got == want, (a, t, r)
+            assert [list(m) for m in got.values()] == [list(m) for m in want.values()]
+    values = [A.field.one(), A.q, A.field.zero(), A.q + A.field.one(), A.field.from_int(-2)]
+    assert build_lifting(A, values, 6).maps == reference_lifting(A, values, 6)
+
+
+@pytest.mark.parametrize("backend", ("cyclotomic", "prime"))
+@pytest.mark.parametrize("a", (2, 3, 4, 5))
+def test_product_cochains_equal_reference_composition(a, backend):
+    A = make(a, backend)
+    for dm in range(0, 7, 2):
+        for dt in range(0, 7 - dm, 2):
+            for l in range(dm + 1):
+                for r in range(dt + 1):
+                    chi = standard_basis(A, dm)[l]
+                    xi = standard_basis(A, dt)[r]
+                    cls, _ = yoneda_product(chi, xi)
+                    assert cls.representative.values == compose_with_top(chi, xi), (dm, l, dt, r)
+
+
+def test_correction_factors_built_once_per_context(monkeypatch):
+    import qci_hochschild.yoneda as yo
+
+    calls = []
+    monkeypatch.setattr(yo, "beta_element", lambda *args: calls.append(args) or beta_element(*args))
+    A = make(3)
+    for degree in (0, 2, 4):
+        build_lifting(A, unit_values(A, degree, 0), 4)
+        yoneda_product(standard_basis(A, 2)[1], standard_basis(A, degree)[0])
+    assert sorted(calls) == sorted([(A, "x", -1), (A, "y", 1), (A, "x", 0), (A, "y", 0)])
+    build_lifting(make(3), unit_values(A, 2, 0), 2)
+    assert len(calls) == 8  # a new context builds its own
+
+
 
 def test_lifting_of_identity_class_a2():
     A = make(2)
@@ -99,6 +193,24 @@ def test_wrong_eps_x_weight_fails():
     assert not verify_lifting(family).ok
 
 
+@pytest.mark.parametrize("a", (3, 4, 5))
+def test_wrong_eps_y_weight_fails(a):
+    # the odd-level y correction must be the s = 0 weighting as well
+    A = make(a)
+    family = build_lifting(A, unit_values(A, 2, 1), 4, _eps_y=-beta_element(A, "y", 1))
+    report = verify_lifting(family)
+    assert not report.status("square at s=1")
+    assert verify_lifting(build_lifting(A, unit_values(A, 2, 1), 4)).ok
+
+
+def test_hooks_replace_factors_at_a2():
+    # the a = 2 factors are 1, -1, -1; swapping the eps signs breaks s = 1
+    A = make(2)
+    one = A.env_one()
+    family = build_lifting(A, unit_values(A, 2, 1), 2, _eps_x=one, _eps_y=one)
+    assert not verify_lifting(family).status("square at s=1")
+
+
 def test_non_scalar_values_rejected():
     A = make(3)
     values = [A.one(), A.x(), A.one()]
@@ -113,6 +225,16 @@ def test_non_scalar_class_rejected_in_product():
     zeta = basis[0]
     with pytest.raises(NonScalarError):
         yoneda_product(zeta, eta)
+
+
+def test_odd_degree_factor_rejected_in_product():
+    A = make(3)
+    one = A.one()
+    xi = CohomologyClass(degree=1, representative=Cochain(A, 1, [one, one]))
+    with pytest.raises(ValueError, match="even-degree"):
+        yoneda_product(standard_basis(A, 2)[0], xi)
+    with pytest.raises(ValueError, match="even-degree"):
+        build_lifting(A, [one, one], 2)
 
 
 # -- products --------------------------------------------------------------------
