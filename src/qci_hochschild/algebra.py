@@ -197,6 +197,11 @@ class _Combination:
         self.terms = {k: c for k, c in terms.items() if c}
 
     def __add__(self, other):
+        if type(other) is not type(self):
+            # else the sum would hold keys of the other type and fail only later
+            raise TypeError(
+                f"cannot add or subtract {type(self).__name__} and {type(other).__name__}"
+            )
         _require_same(self, other)
         terms = dict(self.terms)
         for k, c in other.terms.items():

@@ -3,8 +3,11 @@
 Three interchangeable backends: the rationals (only orders 1 and 2), the
 cyclotomic field Q(zeta_a), and a prime field F_p with p = 1 (mod a).  Field
 elements support ordinary Python arithmetic (+, -, *, /, **) and are
-immutable, so they are safe to share freely.  No floating point is used
-anywhere.
+immutable, so they are safe to share freely.  An element of Q(zeta_a) is a
+tuple of integer numerators over one positive denominator, in lowest terms,
+as FLINT lays out a number-field element; Fractions appear only at its
+boundary (the constructor, coeffs and text) and inside the extended Euclid
+behind inverses.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ class NoRootError(ValueError):
 
 # ---------------------------------------------------------------------------
 # polynomials: the one convolution and the one long division behind Phi_a and
-# every product and inverse in Q(zeta_a)
+# every product and inverse in Q(zeta_a).  Products run them on ints: Phi_a is
+# monic with integer coefficients, so its remainders take no quotient.
 
 
 def _poly_mul(xs, ys):
@@ -31,9 +35,7 @@ def _poly_mul(xs, ys):
         if x:
             for j, y in enumerate(ys, i):
                 if y:
-                    # store a first term: adding a Fraction to 0 costs as much as a product
-                    t = out[j]
-                    out[j] = t + x * y if t else x * y
+                    out[j] += x * y
     return out
 
 
@@ -94,10 +96,13 @@ class _FieldScalar:
     __slots__ = ()
 
     def _check(self, other):
+        if type(other) is type(self):
+            # every context shares one field handle, so identity settles most calls
+            if other.field is self.field or other.field == self.field:
+                return other
+            return None
         if isinstance(other, int):
             return self.field.from_int(other)
-        if type(other) is type(self) and other.field == self.field:
-            return other
         return None
 
     def __radd__(self, other):
@@ -143,52 +148,116 @@ class _FieldScalar:
         return hash(self._key())
 
 
-class CyclotomicScalar(_FieldScalar):
-    """Element of Q(zeta_a), stored as a polynomial in zeta reduced mod Phi_a."""
+def _lowest_terms(field, num, den):
+    """The CyclotomicScalar num/den, divided by gcd(den, *num) so that den > 0.
 
-    __slots__ = ("field", "coeffs")
+    num is a list of field.degree ints and den a nonzero int.
+    """
+    if den != 1:
+        g = math.gcd(den, *num)
+        if den < 0:
+            g = -g
+        if g != 1:
+            num = [c // g for c in num]
+            den //= g
+    s = object.__new__(CyclotomicScalar)
+    s.field = field
+    s.num = tuple(num)
+    s.den = den
+    return s
+
+
+def _over_common_denominator(coeffs):
+    """(nums, den): int and Fraction coefficients as int numerators over their lcm."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+class CyclotomicScalar(_FieldScalar):
+    """Element of Q(zeta_a): a polynomial in zeta reduced mod Phi_a, as num / den.
+
+    num is a tuple of field.degree ints, low degree first, and den a positive
+    int with gcd(den, *num) = 1, so every value has exactly one (num, den)
+    and zero is (0, ..., 0) / 1.  The constructor takes the degree
+    coefficients as ints or Fractions; coeffs gives them back as Fractions.
+    """
+
+    __slots__ = ("field", "num", "den")
 
     def __init__(self, field, coeffs):
+        coeffs = tuple(coeffs)
+        if len(coeffs) != field.degree:
+            raise ValueError(
+                f"Q(zeta_{field.order}) takes {field.degree} coefficients, not {len(coeffs)}"
+            )
+        for c in coeffs:
+            if not isinstance(c, (int, Fraction)) or isinstance(c, bool):
+                raise TypeError(f"coefficient {c!r} is not an int or a Fraction")
+        num, den = _over_common_denominator(coeffs)
         self.field = field
-        self.coeffs = tuple(coeffs)
+        self.num = tuple(num)
+        self.den = den
+
+    @property
+    def coeffs(self):
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     def _key(self):
-        return self.coeffs
+        return self.num, self.den
 
     def __add__(self, other):
         other = self._check(other)
         if other is None:
             return NotImplemented
-        return CyclotomicScalar(
-            self.field, [x + y for x, y in zip(self.coeffs, other.coeffs)]
-        )
+        den = self.den
+        if den == other.den:
+            num = [x + y for x, y in zip(self.num, other.num)]
+        else:
+            d = other.den
+            num = [x * d + y * den for x, y in zip(self.num, other.num)]
+            den *= d
+        return _lowest_terms(self.field, num, den)
 
     def __sub__(self, other):
         other = self._check(other)
         if other is None:
             return NotImplemented
-        return CyclotomicScalar(
-            self.field, [x - y for x, y in zip(self.coeffs, other.coeffs)]
-        )
+        den = self.den
+        if den == other.den:
+            num = [x - y for x, y in zip(self.num, other.num)]
+        else:
+            d = other.den
+            num = [x * d - y * den for x, y in zip(self.num, other.num)]
+            den *= d
+        return _lowest_terms(self.field, num, den)
 
     def __neg__(self):
-        return CyclotomicScalar(self.field, [-x for x in self.coeffs])
+        return _lowest_terms(self.field, [-x for x in self.num], self.den)
 
     def __mul__(self, other):
         other = self._check(other)
         if other is None:
             return NotImplemented
-        return CyclotomicScalar(self.field, self.field._mul(self.coeffs, other.coeffs))
+        field = self.field
+        num = _poly_divmod(_poly_mul(self.num, other.num), field._phi)[1]
+        return _lowest_terms(field, num, self.den * other.den)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        if not any(self.coeffs):
+        if not any(self.num):
             raise ZeroDivisionError("inverse of zero")
-        return CyclotomicScalar(self.field, self.field._inverse(self.coeffs))
+        field = self.field
+        key = (self.num, self.den)
+        inv = field._inverses.get(key)
+        if inv is None:
+            if len(field._inverses) >= _INVERSE_MEMO_SIZE:
+                field._inverses.clear()
+            inv = field._inverses[key] = field._inverse(self.num, self.den)
+        return inv
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self.num)
 
     def __repr__(self):
         return f"CyclotomicScalar({self.field.order}, {self.field.scalar_to_text(self)!r})"
@@ -289,6 +358,9 @@ class RationalField:
         return f"RationalField(root_order={self.root_order})"
 
 
+_INVERSE_MEMO_SIZE = 4096  # entries kept per field before the memo starts over
+
+
 class CyclotomicField:
     """Q(zeta_a): polynomials in zeta over Q, reduced modulo Phi_a."""
 
@@ -301,44 +373,40 @@ class CyclotomicField:
         self.root_order = order
         self._phi = cyclotomic_polynomial(order)
         self.degree = len(self._phi) - 1
+        self._inverses = {}  # (num, den) -> inverse; few distinct values recur
 
-    def _reduce(self, poly):
-        """Remainder of a coefficient list modulo Phi: a degree-tuple of Fractions."""
-        rem = _poly_divmod(poly, self._phi)[1]
-        return tuple(c if type(c) is Fraction else Fraction(c) for c in rem)
-
-    def _mul(self, xs, ys):
-        return self._reduce(_poly_mul(xs, ys))
-
-    def _inverse(self, xs):
-        # extended Euclid in Q[t] against Phi; s1 * xs = r1 (mod Phi) throughout.
-        # Phi enters as Fractions, so no quotient is ever taken of two ints.
-        r0, r1 = [Fraction(c) for c in self._phi], list(xs)
+    def _inverse(self, num, den):
+        """Inverse of num / den, by extended Euclid in Q[t] against Phi."""
+        # s1 * num = r1 (mod Phi) throughout.  Phi enters as Fractions, so no
+        # quotient is ever taken of two ints.
+        r0, r1 = [Fraction(c) for c in self._phi], list(num)
         s0, s1 = [0], [1]
         while True:
             while not r1[-1]:
                 r1.pop()
             if len(r1) == 1:
-                return self._reduce([c / r1[0] for c in s1])
+                break
             quot, rem = _poly_divmod(r0, r1)
             qs1 = _poly_mul(quot, s1)
             r0, r1 = r1, rem
             s0, s1 = s1, [x - y for x, y in zip_longest(s0, qs1, fillvalue=0)]
+        # the inverse is den * s1 / r1[0], and the constant r1[0] may be negative
+        s, d = _over_common_denominator(_poly_divmod(s1, self._phi)[1])
+        c = r1[0]
+        return _lowest_terms(self, [den * c.denominator * x for x in s], d * c.numerator)
 
     @property
     def root(self):
-        return CyclotomicScalar(self, self._reduce([0, 1]))
+        return _lowest_terms(self, _poly_divmod([0, 1], self._phi)[1], 1)
 
     def zero(self):
-        return CyclotomicScalar(self, (Fraction(0),) * self.degree)
+        return self.from_int(0)
 
     def one(self):
-        return CyclotomicScalar(self, (Fraction(1),) + (Fraction(0),) * (self.degree - 1))
+        return self.from_int(1)
 
     def from_int(self, n: int):
-        return CyclotomicScalar(
-            self, (Fraction(n),) + (Fraction(0),) * (self.degree - 1)
-        )
+        return _lowest_terms(self, [n] + [0] * (self.degree - 1), 1)
 
     def scalar_to_text(self, s) -> str:
         parts = []
@@ -355,7 +423,7 @@ class CyclotomicField:
 
     def scalar_from_text(self, text: str):
         """Inverse of scalar_to_text; a term c*z^k may take any integer k."""
-        poly = [Fraction(0)] * self.order  # zeta^order = 1, so k counts mod order
+        poly = [0] * self.order  # zeta^order = 1, so k counts mod order
         text = text.strip()
         if text != "0":
             for part in text.split(" + "):
@@ -372,7 +440,8 @@ class CyclotomicField:
                     poly[k % self.order] += Fraction(c)
                 except (ValueError, ZeroDivisionError):  # Fraction("1/0") raises the latter
                     raise ValueError(f"malformed term {part!r} in {text!r}") from None
-        return CyclotomicScalar(self, self._reduce(poly))
+        num, den = _over_common_denominator(poly)
+        return _lowest_terms(self, _poly_divmod(num, self._phi)[1], den)
 
     def describe(self) -> str:
         return f"cyclotomic({self.order})"

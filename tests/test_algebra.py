@@ -110,6 +110,15 @@ def test_mixed_context_rejected():
         A.env_one().act(B.one())
 
 
+def test_sum_of_algebra_and_env_elements_rejected():
+    # a sum across the two types would hold keys of the wrong shape
+    A = make(3)
+    with pytest.raises(TypeError, match="AlgebraElement and EnvElement"):
+        A.one() + A.env_one()
+    with pytest.raises(TypeError, match="EnvElement and AlgebraElement"):
+        A.env_one() - A.x()
+
+
 # -- enveloping algebra -------------------------------------------------------
 
 def op_product_oracle(A, m1, m2):

@@ -4,9 +4,12 @@ The primary routes form one chain, and a module may only import modules
 below it.  The mod-p oracle in bar.py stands apart: it takes nothing from
 the primary routes but the scalars, and only the CLI and the package root
 reach it, so its cross-check shares no linear algebra with what it checks.
+Nothing is floating point except the oracle's mod-p reduction, and only
+scalars.py takes Fractions from the standard library.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -16,11 +19,15 @@ CHAIN = ("scalars", "linalg", "algebra", "resolution", "cohomology", "yoneda", "
 MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
 
 
+def walk(name):
+    """Every node of module `name`'s syntax tree."""
+    return ast.walk(ast.parse((PACKAGE / f"{name}.py").read_text()))
+
+
 def imported_modules(name):
     """Package modules that module `name` imports, anywhere in its body."""
-    tree = ast.parse((PACKAGE / f"{name}.py").read_text())
     out = set()
-    for node in ast.walk(tree):
+    for node in walk(name):
         if isinstance(node, ast.ImportFrom):
             if node.level == 0 and (node.module or "").split(".")[0] != "qci_hochschild":
                 continue
@@ -36,6 +43,32 @@ def imported_modules(name):
                 parts = alias.name.split(".")
                 if parts[0] == "qci_hochschild":
                     out.add(parts[1] if len(parts) > 1 else "__init__")
+    return out
+
+
+def outside_imports(name):
+    """Top-level names of what module `name` imports from outside the package."""
+    out = set()
+    for node in walk(name):
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.add(node.module.split(".")[0])
+        elif isinstance(node, ast.Import):
+            out.update(alias.name.split(".")[0] for alias in node.names)
+    return out - {"qci_hochschild"}
+
+
+def float_names(name):
+    """Names, attributes, imported names and strings in `name` such as float or float64."""
+    out = set()
+    for node in walk(name):
+        for word in (
+            getattr(node, "id", None),  # Name
+            getattr(node, "attr", None),  # Attribute
+            getattr(node, "name", None),  # alias of an import
+            node.value if isinstance(node, ast.Constant) else None,  # a dtype string
+        ):
+            if isinstance(word, str) and re.fullmatch(r"float\d*", word):
+                out.add(word)
     return out
 
 
@@ -64,3 +97,17 @@ def test_import_reader_sees_function_level_imports():
     # resolution imports c_sequence inside beta_element, not at module level
     assert "scalars" in imported_modules("resolution")
     assert "__init__" in imported_modules("cli")
+
+
+def test_only_scalars_imports_fractions():
+    assert {name for name in MODULES if "fractions" in outside_imports(name)} == {"scalars"}
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "bar"])
+def test_no_floating_point_outside_the_oracle(name):
+    assert not float_names(name), f"{name} names {sorted(float_names(name))}"
+
+
+def test_float_reader_sees_the_oracle():
+    # bar.py reduces mod p in float64, as np.float64 and as a dtype argument
+    assert "float64" in float_names("bar")

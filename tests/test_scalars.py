@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from fractions import Fraction
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qci_hochschild import scalars
 from qci_hochschild.scalars import (
     CyclotomicScalar,
     NoRootError,
@@ -114,6 +116,77 @@ def test_cyclotomic_core_against_oracle(data):
         inv = x.inverse()
         assert_canonical(inv)
         assert reduce_mod(poly_mul(inv.coeffs, x.coeffs), phi) == [1] + [0] * (F.degree - 1)
+
+
+def format_reference(coeffs):
+    """scalar_to_text written from reference coefficients, for the tests only."""
+    terms = [
+        str(c) + ("" if k == 0 else "*z" if k == 1 else f"*z^{k}")
+        for k, c in enumerate(coeffs)
+        if c
+    ]
+    return " + ".join(terms) if terms else "0"
+
+
+def assert_lowest_terms(s):
+    assert type(s.num) is tuple and len(s.num) == s.field.degree
+    assert all(type(c) is int for c in s.num) and type(s.den) is int, (s.num, s.den)
+    assert s.den > 0 and math.gcd(s.den, *s.num) == 1, (s.num, s.den)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_cyclotomic_integer_form_property(data):
+    a = data.draw(st.integers(1, 12), label="a")
+    F = cyclotomic_field(a)
+    phi = cyclotomic_polynomial(a)
+    fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    coeffs = st.lists(fractions, min_size=F.degree, max_size=F.degree)
+    xc, yc = data.draw(coeffs, label="x"), data.draw(coeffs, label="y")
+    x, y = CyclotomicScalar(F, xc), CyclotomicScalar(F, yc)
+    c = data.draw(fractions, label="c")
+    k = data.draw(st.integers(-40, 40), label="k")
+    made = [x, y, x + y, x - y, -x, x * y, F.root, F.scalar_from_text(f"{c}*z^{k}")]
+    made += [F.from_int(n) for n in (-3, 0, 1, 6)]
+    made += [s.inverse() for s in made if s]
+    for s in made:
+        assert_lowest_terms(s)
+    # one value reached by different routes has one key and one hash
+    routes = [(x + y) - y, F.scalar_from_text(F.scalar_to_text(x))]
+    if y:
+        routes.append(x * y * y.inverse())
+    for r in routes:
+        assert r._key() == x._key() and hash(r) == hash(x)
+    assert F.scalar_to_text(x) == format_reference(reduce_mod(xc, phi))
+    assert F.scalar_to_text(x * y) == format_reference(reduce_mod(poly_mul(xc, yc), phi))
+    if x:
+        # x / 2 shares x's numerators unless they are all even
+        half = CyclotomicScalar(F, [v / 2 for v in xc])
+        for s in (x, half, x, half):
+            inv = s.inverse()
+            assert inv == s.inverse()
+            assert s * inv == 1
+
+
+def test_inverse_memo_starts_over_when_full(monkeypatch):
+    monkeypatch.setattr(scalars, "_INVERSE_MEMO_SIZE", 2)
+    F = cyclotomic_field(5)
+    values = [F.from_int(n) + F.root for n in range(6)]
+    for x in values + values:
+        assert x * x.inverse() == 1
+        assert len(F._inverses) <= 2
+
+
+def test_cyclotomic_constructor_validates_coefficients():
+    F = cyclotomic_field(3)
+    with pytest.raises(ValueError, match="takes 2 coefficients, not 3"):
+        CyclotomicScalar(F, [1, 2, 5])
+    with pytest.raises(TypeError, match="1.5 is not an int or a Fraction"):
+        CyclotomicScalar(F, [1.5, 0])
+    with pytest.raises(TypeError, match="True"):
+        CyclotomicScalar(F, [True, 0])
+    s = CyclotomicScalar(F, (1, Fraction(-1, 2)))
+    assert (s.num, s.den) == ((2, -1), 2)
 
 
 def test_primitive_root_cyclotomic_is_the_generator():
