@@ -2,199 +2,141 @@
 
 This route is deliberately independent of the minimal-resolution pipeline:
 it carries its own monomial arithmetic, assembles the standard cochain
-coboundary on Hom(A^(tensor n), A), and does its own dense mod-p row
-reduction with numpy.  Agreement of its dimensions with the two primary
-routes is one of the acceptance checks.
+coboundary on Hom(A^(tensor n), A), and does its own exact sparse row
+reduction on Python ints mod p, for any prime p = 1 (mod a).  Agreement of
+its dimensions with the two primary routes is one of the acceptance checks.
 
 A is Z^2-graded by deg y^u x^v = (u, v), and the coboundary preserves the
 internal bidegree deg(value) - sum deg(arguments) of a basis cochain.  The
-rank of the coboundary is therefore computed as the sum of the ranks of its
-blocks, one per internal bidegree; every entry is checked to lie in its
-block, so a wrong grading raises instead of changing a rank.
-
-Row reduction works in float64; a product of two residues is at most
-(p-1)^2 and an inner product accumulates at most ncols of them, so the
-arithmetic is exact before each reduction mod p while (p-1)^2 * ncols < 2^53.
-Every reducer checks this bound for its own width and refuses to run past it.
+elimination needs no split by bidegree: a row is only reduced by pivot rows
+keyed at columns it already holds, so rows of different bidegrees never mix.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-
-import numpy as np
-
 from .scalars import _is_prime, smallest_prime_modulus, smallest_root_of_unity
 
 DEFAULT_SIZE_CAP = 100_000
-_EXACT_LIMIT = 2**53
-_BATCH = 64  # rows per dense batch fed to a _RowReducer
 
 
 class SizeError(RuntimeError):
     """Cochain space exceeds the configured dimension cap."""
 
 
-def _check_exact(p: int, ncols: int) -> None:
-    """Raise unless float64 row reduction mod p over ncols columns is exact."""
-    if (p - 1) ** 2 * max(ncols, 1) >= _EXACT_LIMIT:
-        raise ValueError(
-            f"float64 reduction mod {p} over {ncols} columns is inexact: "
-            "(p-1)^2 * ncols must stay below 2^53"
-        )
+def _subtract(row: dict, lead: int, tail: dict, p: int) -> None:
+    """row -= lead * tail mod p, in place, dropping the entries that cancel."""
+    for c, v in tail.items():
+        w = (row.get(c, 0) - lead * v) % p
+        if w:
+            row[c] = w
+        else:
+            row.pop(c, None)
 
 
-class _RowReducer:
-    """Incremental row-space basis mod p, kept in reduced echelon form.
+class _Echelon:
+    """Row echelon form mod p over ncols columns, grown one sparse row at a time.
 
-    Batches are reduced against the basis with one matrix product, brought
-    into local echelon form with rank-one updates confined to the batch, and
-    only then folded into the basis with a second matrix product.  This keeps
-    every heavy operation inside BLAS.
+    Rows are dicts {col: value}.  Each pivot row is normalised to lead with 1
+    and kept, without that leading entry, under its first column.
     """
 
     def __init__(self, ncols: int, p: int):
-        _check_exact(p, ncols)
         self.ncols = ncols
         self.p = p
-        self.basis = np.zeros((0, ncols), dtype=np.float64)
-        self.pivots: list[int] = []
-
-    def _reduce_block(self, block):
-        if self.pivots:
-            coeffs = block[:, self.pivots]
-            block = (block - coeffs @ self.basis) % self.p
-        return block
-
-    def add_batch(self, block):
-        """Feed a dense batch of rows; returns the number of new pivots."""
-        block = self._reduce_block(np.asarray(block, dtype=np.float64) % self.p)
-        new_rows = []
-        new_pivots = []
-        for k in range(block.shape[0]):
-            row = block[k]
-            support = np.nonzero(row)[0]
-            if support.size == 0:
-                continue
-            j = int(support[0])
-            inv = pow(int(row[j]), self.p - 2, self.p)
-            row = (row * inv) % self.p
-            block[k] = row
-            # clear this column from the rest of the batch, both directions,
-            # so the new rows end up mutually reduced
-            col = block[:, j].copy()
-            col[k] = 0.0
-            hits = np.nonzero(col)[0]
-            if hits.size:
-                block[hits] = (block[hits] - np.outer(col[hits], row)) % self.p
-            new_rows.append(k)
-            new_pivots.append(j)
-        if not new_rows:
-            return 0
-        new_basis = block[new_rows]
-        if self.pivots:
-            coeffs = self.basis[:, new_pivots]
-            if np.any(coeffs):
-                self.basis = (self.basis - coeffs @ new_basis) % self.p
-        self.basis = np.vstack([self.basis, new_basis])
-        self.pivots.extend(new_pivots)
-        return len(new_rows)
+        self._pivots: dict[int, dict[int, int]] = {}
 
     @property
     def rank(self) -> int:
-        return len(self.pivots)
+        return len(self._pivots)
 
-    def residue(self, vector):
-        """Reduce one dense vector against the current basis."""
-        block = self._reduce_block(
-            np.asarray(vector, dtype=np.float64)[None, :] % self.p
-        )
-        return block[0]
+    def _reduce(self, row, lead_only: bool) -> dict:
+        """Subtract pivot rows from a copy of `row`, lowest column first.
 
+        With lead_only the reduction stops at the first column without a
+        pivot; otherwise it clears every pivot column.
+        """
+        p, pivots = self.p, self._pivots
+        row = {c: v % p for c, v in row.items() if v % p}
+        while row:
+            cols = row if lead_only else [c for c in row if c in pivots]
+            if not cols:
+                break
+            col = min(cols)
+            tail = pivots.get(col)
+            if tail is None:
+                break
+            _subtract(row, row.pop(col), tail, p)
+        return row
 
-def _feed(reducer: _RowReducer, rows) -> _RowReducer:
-    """Feed sparse rows, lists of (col, value) pairs, to the reducer in dense
-    batches of at most _BATCH rows; empty rows are skipped."""
-    block = np.zeros((min(_BATCH, len(rows)), reducer.ncols), dtype=np.float64)
-    filled = 0
-    for row in rows:
+    def add(self, row) -> bool:
+        """Add a row; True when it is independent of the rows before it."""
+        row = self._reduce(row, lead_only=True)
         if not row:
-            continue
-        for col, val in row:
-            block[filled, col] = val % reducer.p
-        filled += 1
-        if filled == len(block):
-            reducer.add_batch(block)
-            block[:] = 0.0
-            filled = 0
-    if filled:
-        reducer.add_batch(block[:filled])
-    return reducer
+            return False
+        col = min(row)
+        inv = pow(row.pop(col), -1, self.p)
+        self._pivots[col] = {c: v * inv % self.p for c, v in row.items()}
+        return True
+
+    def residue(self, row) -> dict:
+        """`row` reduced against the span; empty exactly when it lies in it."""
+        return self._reduce(row, lead_only=False)
+
+    def kernel(self) -> list:
+        """Basis of the vectors killed by every added row, one per free column.
+
+        One back-substitution, from the last pivot up, brings the pivot rows
+        to reduced form; the kernel vector of a free column f is then e_f
+        minus the column f of the reduced rows, read at their pivots.
+        """
+        p = self.p
+        reduced: dict[int, dict[int, int]] = {}
+        for col in sorted(self._pivots, reverse=True):
+            row = dict(self._pivots[col])
+            for c in [c for c in row if c in reduced]:
+                _subtract(row, row.pop(c), reduced[c], p)
+            reduced[col] = row
+        kernel = {f: {f: 1} for f in range(self.ncols) if f not in reduced}
+        for col, row in reduced.items():
+            for f, v in row.items():
+                kernel[f][col] = -v % p
+        return [kernel[f] for f in sorted(kernel)]
 
 
 class _SparseRows:
-    """Row-sparse matrix mod p: rows[i] is a list of (col, value) pairs.
+    """Row-sparse matrix mod p: rows[i] is a dict {col: value}."""
 
-    row_weights[i] and col_weights[j] grade the rows and columns; every
-    entry must join a row and a column of equal weight.
-    """
-
-    def __init__(self, nrows, ncols, rows, p, row_weights, col_weights):
+    def __init__(self, nrows, ncols, rows, p):
         self.nrows = nrows
         self.ncols = ncols
         self.rows = rows
         self.p = p
-        self.row_weights = row_weights
-        self.col_weights = col_weights
         self._rank = None
 
+    def echelon(self) -> _Echelon:
+        out = _Echelon(self.ncols, self.p)
+        for row in self.rows:
+            out.add(row)
+        return out
+
     def rank(self) -> int:
-        """Sum of the ranks of the blocks of equal row and column weight."""
         if self._rank is None:
-            local = []  # index of each column among the columns of its weight
-            widths = defaultdict(int)
-            for w in self.col_weights:
-                local.append(widths[w])
-                widths[w] += 1
-            blocks = defaultdict(list)
-            for i, row in enumerate(self.rows):
-                if not row:
-                    continue
-                w = self.row_weights[i]
-                block_row = []
-                for col, val in row:
-                    if self.col_weights[col] != w:
-                        raise RuntimeError(
-                            f"entry ({i}, {col}) joins row weight {w} "
-                            f"to column weight {self.col_weights[col]}"
-                        )
-                    block_row.append((local[col], val))
-                blocks[w].append(block_row)
-            self._rank = sum(
-                _feed(_RowReducer(widths[w], self.p), rows).rank
-                for w, rows in blocks.items()
-            )
+            self._rank = self.echelon().rank
         return self._rank
 
-    def apply(self, vec):
-        """Matrix-vector product mod p for a dense integer vector."""
-        out = np.zeros(self.nrows, dtype=np.int64)
-        for i, row in enumerate(self.rows):
-            total = 0
-            for col, val in row:
-                total += val * int(vec[col])
-            out[i] = total % self.p
-        return out
+    def apply(self, vec) -> list:
+        """Matrix-vector product mod p for a dense list of ints."""
+        return [sum(v * vec[c] for c, v in row.items()) % self.p for row in self.rows]
 
 
 class BarCochain:
-    """Degree-n cochain as a dense coefficient vector over the tuple basis."""
+    """Degree-n cochain as a dense list of coefficients over the tuple basis."""
 
     __slots__ = ("degree", "vec")
 
     def __init__(self, degree: int, vec):
         self.degree = degree
-        self.vec = np.asarray(vec, dtype=np.int64)
+        self.vec = list(vec)
 
 
 class BarComplex:
@@ -209,7 +151,6 @@ class BarComplex:
             raise ValueError(f"modulus {self.p} is not prime")
         if (self.p - 1) % a != 0:
             raise ValueError(f"modulus {self.p} admits no root of order {a}")
-        _check_exact(self.p, 1)
         self.size_cap = size_cap
         self.dim = a * a  # dim of A
         self.q = smallest_root_of_unity(self.p, a)
@@ -255,21 +196,6 @@ class BarComplex:
             idx = idx * self.dim + tup[k]
         return idx
 
-    def _weights(self, n: int) -> list:
-        """Internal bidegree deg(value) - sum deg(arguments) of each degree-n
-        basis cochain, indexed like the cochain vectors."""
-        a, d = self.a, self.dim
-        index = np.arange(self.cochain_dim(n))
-        u = np.zeros_like(index)
-        v = np.zeros_like(index)
-        # digit 0 of the index is the value monomial, digits 1..n the arguments
-        for k in range(n + 1):
-            digit = index // d**k % d
-            sign = 1 if k == 0 else -1
-            u += sign * (digit // a)
-            v += sign * (digit % a)
-        return list(zip(u.tolist(), v.tolist()))
-
     def bar_differential(self, n: int) -> _SparseRows:
         """Coboundary from degree n to degree n+1 on the tuple bases.
 
@@ -288,7 +214,7 @@ class BarComplex:
         p = self.p
         ncols = self.cochain_dim(n)
         nrows = self.cochain_dim(n + 1)
-        rows = [[] for _ in range(nrows)]
+        rows = [{} for _ in range(nrows)]
         last_sign = 1 if (n + 1) % 2 == 0 else -1
         for tup in self._tuples(n + 1):
             base = self._tuple_index(tup) * d
@@ -322,10 +248,8 @@ class BarComplex:
                     scale = self._qpow[((vr - vl) * ul) % a]
                     put(self._tuple_index(tup[:n]) * d + m, last_sign * scale)
 
-                row = [(c, v) for c, v in entries.items() if v]
-                if row:
-                    rows[base + r] = row
-        result = _SparseRows(nrows, ncols, rows, p, self._weights(n + 1), self._weights(n))
+                rows[base + r] = {c: v for c, v in entries.items() if v}
+        result = _SparseRows(nrows, ncols, rows, p)
         self._diff_cache[n] = result
         return result
 
@@ -338,26 +262,24 @@ class BarComplex:
     # -- cup products --------------------------------------------------------
 
     def is_cocycle(self, cochain: BarCochain) -> bool:
-        return not self.bar_differential(cochain.degree).apply(cochain.vec).any()
+        return not any(self.bar_differential(cochain.degree).apply(cochain.vec))
 
     def cup_product(self, f: BarCochain, g: BarCochain) -> BarCochain:
         """Concatenation product (f . g)(a_1..a_(m+n)) = f(front) g(back)."""
         m, n = f.degree, g.degree
         self._check_cap(m + n)
         d = self.dim
-        out = np.zeros(self.cochain_dim(m + n), dtype=np.int64)
-        fv = f.vec
-        gv = g.vec
+        out = [0] * self.cochain_dim(m + n)
         for tup in self._tuples(m + n):
             front = self._tuple_index(tup[:m]) * d
             back = self._tuple_index(tup[m:]) * d
             target = self._tuple_index(tup) * d
             for m1 in range(d):
-                c1 = int(fv[front + m1])
+                c1 = f.vec[front + m1]
                 if not c1:
                     continue
                 for m2 in range(d):
-                    c2 = int(gv[back + m2])
+                    c2 = g.vec[back + m2]
                     if not c2:
                         continue
                     hit = self._mul(m1, m2)
@@ -369,49 +291,34 @@ class BarComplex:
 
     # -- helpers for span computations ---------------------------------------
 
-    def cocycle_basis(self, n: int):
-        """Dense kernel basis vectors of the degree-n coboundary."""
+    def cocycle_basis(self, n: int) -> list:
+        """Kernel basis of the degree-n coboundary, as dense lists of ints."""
         diff = self.bar_differential(n)
-        reducer = _feed(_RowReducer(diff.ncols, self.p), diff.rows)
-        pivot_set = set(reducer.pivots)
-        vectors = []
-        for free in range(diff.ncols):
-            if free in pivot_set:
-                continue
-            vec = np.zeros(diff.ncols, dtype=np.int64)
-            vec[free] = 1
-            col = reducer.basis[:, free]
-            for row_idx, pivot_col in enumerate(reducer.pivots):
-                c = int(col[row_idx])
-                if c:
-                    vec[pivot_col] = (-c) % self.p
-            vectors.append(vec)
-        return vectors
+        return [[vec.get(c, 0) for c in range(diff.ncols)] for vec in diff.echelon().kernel()]
 
-    def coboundary_reducer(self, n: int) -> _RowReducer:
-        """Row basis of the image of the coboundary landing in degree n."""
-        reducer = _RowReducer(self.cochain_dim(n), self.p)
+    def coboundary_reducer(self, n: int) -> _Echelon:
+        """Echelon form of the image of the coboundary landing in degree n."""
+        reducer = _Echelon(self.cochain_dim(n), self.p)
         if n == 0:
             return reducer
         diff = self.bar_differential(n - 1)
         # image = span of the columns; transpose by scattering entries
-        cols: dict[int, list] = {}
+        cols = [{} for _ in range(diff.ncols)]
         for i, row in enumerate(diff.rows):
-            for col, val in row:
-                cols.setdefault(col, []).append((i, val))
-        return _feed(reducer, [cols[col] for col in sorted(cols)])
+            for col, val in row.items():
+                cols[col][i] = val
+        for col in cols:
+            reducer.add(col)
+        return reducer
 
     def span_dimension_mod_coboundaries(self, cochains, n: int) -> int:
         """Dimension of the span of the given degree-n cocycles in cohomology."""
         reducer = self.coboundary_reducer(n)
-        base = reducer.rank
-        for cochain in cochains:
-            reducer.add_batch(np.asarray(cochain.vec, dtype=np.float64)[None, :])
-        return reducer.rank - base
+        return sum(reducer.add(dict(enumerate(cochain.vec))) for cochain in cochains)
 
     def is_coboundary(self, cochain: BarCochain) -> bool:
         reducer = self.coboundary_reducer(cochain.degree)
-        return not reducer.residue(np.asarray(cochain.vec, dtype=np.float64)).any()
+        return not reducer.residue(dict(enumerate(cochain.vec)))
 
     def dimension_rows(self, max_degree: int):
         return [

@@ -224,7 +224,7 @@ def cmd_oracle(args) -> int:
     oracle = BarComplex(args.a, modulus=args.modulus, size_cap=cap)
     try:
         rows = oracle.dimension_rows(args.max_degree)
-    except (SizeError, ValueError) as exc:
+    except SizeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     emit(

@@ -194,23 +194,18 @@ def test_oracle_composite_modulus_is_usage_error(capsys):
     assert "modulus 9 is not prime" in capsys.readouterr().err
 
 
-def test_oracle_inexact_modulus_is_usage_error(capsys):
-    # (p-1)^2 alone exceeds 2^53, so not even one column reduces exactly
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["oracle", "--a", "2", "--max-degree", "1", "--modulus", "2147483647"])
-    assert exc.value.code == 2
-    assert "2147483647" in capsys.readouterr().err
-
-
-def test_oracle_block_too_wide_for_modulus(capsys):
-    # degree-0 blocks are one column wide and reduce exactly at this modulus;
-    # degree-1 blocks are wider and must be refused, not reduced inexactly
-    code, out = run(capsys, "oracle", "--a", "2", "--max-degree", "0", "--modulus", "90000049")
+@pytest.mark.parametrize(
+    "modulus, top, dims",
+    [("2147483647", "3", [2, 4, 6, 8]), ("90000049", "1", [2, 4])],
+    ids=["2147483647", "90000049"],
+)
+def test_oracle_large_modulus(capsys, modulus, top, dims):
+    # any prime p = 1 (mod a) is exact: residues are Python ints
+    code, out = run(capsys, "oracle", "--a", "2", "--max-degree", top, "--modulus", modulus)
     assert code == 0
-    assert [row["bar"] for row in json.loads(out)["rows"]] == [2]
-    code = cli.main(["oracle", "--a", "2", "--max-degree", "1", "--modulus", "90000049"])
-    assert code == 1
-    assert "inexact" in capsys.readouterr().err
+    payload = json.loads(out)
+    assert payload["backend"] == f"prime({modulus})"
+    assert [row["bar"] for row in payload["rows"]] == dims
 
 
 def test_internal_error_is_not_a_usage_error(monkeypatch):

@@ -4,8 +4,8 @@ The primary routes form one chain, and a module may only import modules
 below it.  The mod-p oracle in bar.py stands apart: it takes nothing from
 the primary routes but the scalars, and only the CLI and the package root
 reach it, so its cross-check shares no linear algebra with what it checks.
-Nothing is floating point except the oracle's mod-p reduction, and only
-scalars.py takes Fractions from the standard library.
+Nothing is floating point, the oracle's mod-p reduction included, no module
+uses numpy, and only scalars.py takes Fractions from the standard library.
 """
 
 import ast
@@ -19,9 +19,13 @@ CHAIN = ("scalars", "linalg", "algebra", "resolution", "cohomology", "yoneda", "
 MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
 
 
+def source(name):
+    return (PACKAGE / f"{name}.py").read_text()
+
+
 def walk(name):
     """Every node of module `name`'s syntax tree."""
-    return ast.walk(ast.parse((PACKAGE / f"{name}.py").read_text()))
+    return ast.walk(ast.parse(source(name)))
 
 
 def imported_modules(name):
@@ -57,17 +61,18 @@ def outside_imports(name):
     return out - {"qci_hochschild"}
 
 
-def float_names(name):
-    """Names, attributes, imported names and strings in `name` such as float or float64."""
+def float_names(text):
+    """Names, attributes, imported names and strings in the source `text` such
+    as float, float64, numpy or np."""
     out = set()
-    for node in walk(name):
+    for node in ast.walk(ast.parse(text)):
         for word in (
             getattr(node, "id", None),  # Name
             getattr(node, "attr", None),  # Attribute
             getattr(node, "name", None),  # alias of an import
             node.value if isinstance(node, ast.Constant) else None,  # a dtype string
         ):
-            if isinstance(word, str) and re.fullmatch(r"float\d*", word):
+            if isinstance(word, str) and re.fullmatch(r"float\d*|numpy|np", word):
                 out.add(word)
     return out
 
@@ -103,11 +108,13 @@ def test_only_scalars_imports_fractions():
     assert {name for name in MODULES if "fractions" in outside_imports(name)} == {"scalars"}
 
 
-@pytest.mark.parametrize("name", [m for m in MODULES if m != "bar"])
+@pytest.mark.parametrize("name", MODULES)
 def test_no_floating_point_outside_the_oracle(name):
-    assert not float_names(name), f"{name} names {sorted(float_names(name))}"
+    # the oracle too reduces exactly, on Python ints mod p
+    names = float_names(source(name))
+    assert not names, f"{name} names {sorted(names)}"
 
 
-def test_float_reader_sees_the_oracle():
-    # bar.py reduces mod p in float64, as np.float64 and as a dtype argument
-    assert "float64" in float_names("bar")
+def test_float_reader_sees_planted_float64():
+    planted = "import numpy as np\nv = np.zeros(3, dtype=np.float64)\nw = v.astype('float32')\n"
+    assert float_names(planted) == {"numpy", "np", "float64", "float32"}
