@@ -214,7 +214,7 @@ class BarComplex:
         p = self.p
         ncols = self.cochain_dim(n)
         nrows = self.cochain_dim(n + 1)
-        rows = [{} for _ in range(nrows)]
+        rows: list = [None] * nrows  # every row is set below
         last_sign = 1 if (n + 1) % 2 == 0 else -1
         for tup in self._tuples(n + 1):
             base = self._tuple_index(tup) * d
