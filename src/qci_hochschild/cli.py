@@ -95,9 +95,24 @@ def certificate(suite: str, config: dict, checks: list) -> dict:
     }
 
 
-def check_failed(suite: str, config: dict, name: str, exc: Exception) -> int:
+# the verification errors a subcommand turns into a failing certificate
+CHECK_ERRORS = (BasisError, NotCocycleError, TableMismatchError)
+
+
+def failed_check(exc: Exception) -> tuple:
+    """(check name, False, witness) for one of CHECK_ERRORS."""
+    if isinstance(exc, BasisError):
+        name = "named basis"
+    elif isinstance(exc, NotCocycleError):
+        name = "cocycle"
+    else:
+        name = "closed form"
+    return (name, False, str(exc))
+
+
+def check_failed(suite: str, config: dict, exc: Exception) -> int:
     """Print a one-check failing certificate whose witness is exc; exit 1."""
-    emit(certificate(suite, config, [(name, False, str(exc))]))
+    emit(certificate(suite, config, [failed_check(exc)]))
     return 1
 
 
@@ -120,7 +135,7 @@ def cmd_basis(args) -> int:
     try:
         classes = standard_basis(A, args.degree)
     except BasisError as exc:
-        return check_failed("basis", {"a": args.a, "degree": args.degree}, "named basis", exc)
+        return check_failed("basis", {"a": args.a, "degree": args.degree}, exc)
     out = {
         "schema": SCHEMA,
         "a": A.a,
@@ -150,8 +165,7 @@ def cmd_product(args) -> int:
         target = standard_basis(A, args.deg1 + args.deg2)
     except (BasisError, NotCocycleError) as exc:
         config = {"a": args.a, "deg1": args.deg1, "i": i, "deg2": args.deg2, "j": j}
-        name = "named basis" if isinstance(exc, BasisError) else "cocycle"
-        return check_failed("product", config, name, exc)
+        return check_failed("product", config, exc)
     out = {
         "schema": SCHEMA,
         "a": A.a,
@@ -173,19 +187,17 @@ def cmd_product(args) -> int:
 def cmd_table(args) -> int:
     A = make_algebra(args)
     try:
-        table = reduced_ring_table(A, args.max_degree)
-    except TableMismatchError as exc:
-        config = {"a": args.a, "max_degree": args.max_degree}
-        return check_failed("table", config, "closed form", exc)
-    obj = table.to_json_obj()
-    for cell in obj["cells"]:
-        if cell["product"] is None:
-            cell["product"] = "0"
-        else:
-            target = standard_basis(A, cell["product"]["degree"])
-            cell["product"] = target[cell["product"]["index"]].label + (
-                f"^{cell['product']['degree']}"
-            )
+        obj = reduced_ring_table(A, args.max_degree).to_json_obj()
+        for cell in obj["cells"]:
+            if cell["product"] is None:
+                cell["product"] = "0"
+            else:
+                target = standard_basis(A, cell["product"]["degree"])
+                cell["product"] = target[cell["product"]["index"]].label + (
+                    f"^{cell['product']['degree']}"
+                )
+    except CHECK_ERRORS as exc:
+        return check_failed("table", {"a": args.a, "max_degree": args.max_degree}, exc)
     emit(obj)
     return 0
 
@@ -211,8 +223,8 @@ def cmd_verify(args) -> int:
         try:
             table = reduced_ring_table(A, args.max_degree)
             checks = [(name, True, "") for name in table.checked]
-        except TableMismatchError as exc:
-            checks = [("closed form", False, str(exc))]
+        except CHECK_ERRORS as exc:
+            checks = [failed_check(exc)]
     cert = certificate(args.suite, config, checks)
     emit(cert)
     return 0 if cert["status"] == "pass" else 1

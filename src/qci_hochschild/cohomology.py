@@ -86,8 +86,43 @@ class CohomologyClass:
         return f"CohomologyClass({self.label or 'deg ' + str(self.degree)})"
 
 
+def _action_block(A: QuantumCompleteIntersection, env) -> dict:
+    """{(row, col): c} of m -> env . m on the monomial basis of A.
+
+    Built through act_mono once per context and band element, keyed by the
+    element's value, so equal band elements of different degrees or columns
+    share one block.
+    """
+    key = ("action", frozenset(env.terms.items()))
+    block = A._cache.get(key)
+    if block is not None:
+        return block
+    block = {}
+    for m in A.monomials():
+        col = A.mono_index(m)
+        for tensor, c in env.terms.items():
+            hit = A.act_mono(tensor, m)
+            if hit is None:
+                continue
+            scale, mono = hit
+            add_term(block, (A.mono_index(mono), col), c * scale)
+    A._cache[key] = block
+    return block
+
+
+def _tile(entries, block, row_offset, col_offset):
+    """Write a block into entries at the offsets; tiles never overlap."""
+    for (row, col), c in block.items():
+        entries[(row_offset + row, col_offset + col)] = c
+
+
 def hom_differential(A: QuantumCompleteIntersection, n: int) -> SparseMatrix:
-    """Matrix of composing with d_n, from A^n to A^(n+1), on monomial bases."""
+    """Matrix of composing with d_n, from A^n to A^(n+1), on monomial bases.
+
+    The band entry d_n(j, i) contributes the action block of that band
+    element at row offset i a^2 and column offset j a^2; every entry comes
+    from the resolution through the bimodule action.
+    """
     if n < 1:
         raise ValueError("transpose differentials start in degree 1")
     key = ("homdiff", n)
@@ -97,19 +132,8 @@ def hom_differential(A: QuantumCompleteIntersection, n: int) -> SparseMatrix:
     d = differential(A, n, preferred_variant(A))
     a2 = A.dim
     entries = {}
-    for j in range(n):
-        for m in A.monomials():
-            col = j * a2 + A.mono_index(m)
-            for i in (j, j + 1):
-                env = d.entry(j, i)
-                if env is None:
-                    continue
-                for tensor, c in env.terms.items():
-                    hit = A.act_mono(tensor, m)
-                    if hit is None:
-                        continue
-                    scale, mono = hit
-                    add_term(entries, (i * a2 + A.mono_index(mono), col), c * scale)
+    for (j, i), env in d.entries.items():
+        _tile(entries, _action_block(A, env), i * a2, j * a2)
     matrix = SparseMatrix((n + 1) * a2, n * a2, entries, A.field)
     A._cache[key] = matrix
     return matrix
@@ -124,12 +148,65 @@ def hh_dimension_ext(A: QuantumCompleteIntersection, n: int) -> int:
     return kernel_dim - image_dim
 
 
+def _geometric_sums(A: QuantumCompleteIntersection) -> list:
+    """The geometric sums K(m), m <= a + 1, computed once per context."""
+    K = A._cache.get("ksums")
+    if K is None:
+        K = [k_sum(A.a, A.q_power(m)) for m in range(A.a + 2)]
+        A._cache["ksums"] = K
+    return K
+
+
+def _delta_block(A: QuantumCompleteIntersection, n: int, i: int, sub: bool) -> dict:
+    """{(row, col): c} from y^u x^v e^n_i to generator i, or i - 1 when sub.
+
+    The entries depend on n and i only through their parities, so a context
+    builds at most eight blocks.  The diagonal part weights like gamma_y when
+    i and n have the same parity and like tau_y otherwise; the sub-band part
+    like gamma_x for even i and like tau_x for odd i.
+    """
+    n_odd, i_odd = n % 2, i % 2
+    key = ("delta-block", n_odd, i_odd, sub)
+    block = A._cache.get(key)
+    if block is not None:
+        return block
+    a = A.a
+    qp = A.q_power
+    one = A.field.one()
+    K = _geometric_sums(A)
+    block = {}
+
+    def put(mono, col, scalar):
+        add_term(block, (A.mono_index(mono), col), scalar)
+
+    for u in range(a):
+        for v in range(a):
+            col = A.mono_index((u, v))
+            if not sub:
+                if n_odd == i_odd:
+                    if u == 0:
+                        put((a - 1, v), col, qp(1) * K[v + 1 + n_odd])
+                elif u + 1 < a:
+                    weight = qp(a - 1) - qp(v) if n_odd else qp(v + 1) - qp(a - 1)
+                    put((u + 1, v), col, weight)
+            elif not i_odd:
+                if v == 0:
+                    put((u, a - 1), col, K[u + 1 + n_odd])
+            elif v + 1 < a:
+                put((u, v + 1), col, qp(u + 2 - n_odd) - one)
+    A._cache[key] = block
+    return block
+
+
 def delta_matrix(A: QuantumCompleteIntersection, n: int) -> SparseMatrix:
     """Differential of the twisted chain complex on the basis y^u x^v e^n_i.
 
     Monomials whose exponents overflow a vanish; generator indices outside
     0..n-1 on the target side are dropped.  The scalar weights are geometric
     sums in q and differences of q powers, read off from the one-sided twist.
+    Column generator i carries its diagonal block at rows of generator i when
+    i <= n - 1 and its sub-band block at rows of generator i - 1 when i >= 1;
+    both blocks are shared by every degree of the parity of n.
     """
     if n < 1:
         raise ValueError("delta differentials start in degree 1")
@@ -137,44 +214,13 @@ def delta_matrix(A: QuantumCompleteIntersection, n: int) -> SparseMatrix:
     cached = A._cache.get(key)
     if cached is not None:
         return cached
-    a = A.a
     a2 = A.dim
-    qp = A.q_power
-    one = A.field.one()
-
-    K = [k_sum(a, qp(m)) for m in range(a + 2)]  # the geometric sums K(m), m <= a + 1
     entries = {}
-
-    def put(row_i, mono, col, scalar):
-        add_term(entries, (row_i * a2 + A.mono_index(mono), col), scalar)
-
-    even = n % 2 == 0
     for i in range(n + 1):
-        for u in range(a):
-            for v in range(a):
-                col = i * a2 + A.mono_index((u, v))
-                if even:
-                    if i % 2 == 0:
-                        if i <= n - 1 and u == 0:
-                            put(i, (a - 1, v), col, qp(1) * K[v + 1])
-                        if i >= 1 and v == 0:
-                            put(i - 1, (u, a - 1), col, K[u + 1])
-                    else:
-                        if i <= n - 1 and u + 1 < a:
-                            put(i, (u + 1, v), col, qp(v + 1) - qp(a - 1))
-                        if i >= 1 and v + 1 < a:
-                            put(i - 1, (u, v + 1), col, qp(u + 2) - one)
-                else:
-                    if i % 2 == 0:
-                        if i <= n - 1 and u + 1 < a:
-                            put(i, (u + 1, v), col, qp(a - 1) - qp(v))
-                        if i >= 1 and v == 0:
-                            put(i - 1, (u, a - 1), col, K[u + 2])
-                    else:
-                        if i <= n - 1 and u == 0:
-                            put(i, (a - 1, v), col, qp(1) * K[v + 2])
-                        if i >= 1 and v + 1 < a:
-                            put(i - 1, (u, v + 1), col, qp(u + 1) - one)
+        if i <= n - 1:
+            _tile(entries, _delta_block(A, n, i, sub=False), i * a2, i * a2)
+        if i >= 1:
+            _tile(entries, _delta_block(A, n, i, sub=True), (i - 1) * a2, i * a2)
     matrix = SparseMatrix(n * a2, (n + 1) * a2, entries, A.field)
     A._cache[key] = matrix
     return matrix

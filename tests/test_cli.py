@@ -63,15 +63,18 @@ def test_product_command(capsys):
     assert payload["coordinates"] == {"xi_2": "1"}
 
 
-def non_cocycle_basis(monkeypatch):
-    """Make the first named class of every degree x on generator 0, which is
-    not a cocycle in degree 2 at a = 2, so standard_basis raises BasisError."""
+def non_cocycle_basis(monkeypatch, only_degree=None):
+    """Make the first named class of every degree (or of only_degree) x on
+    generator 0, which is not a cocycle in degree 2, so standard_basis raises
+    BasisError."""
     import qci_hochschild.cohomology as coh
 
     original = coh._standard_values
 
     def broken(algebra, degree):
         vals = original(algebra, degree)
+        if only_degree is not None and degree != only_degree:
+            return vals
         label, index, _ = vals[0]
         return [(label, index, algebra.x())] + vals[1:]
 
@@ -127,6 +130,42 @@ def test_product_not_cocycle_exit_code(capsys, monkeypatch):
         {"name": "cocycle", "status": "fail",
          "witness": "cochain of degree 2 is not a cocycle"}
     ]
+
+
+def non_cocycle_product(monkeypatch):
+    """Add x on generator 0 to every product cochain before it is expressed."""
+    import qci_hochschild.yoneda as yo
+    from qci_hochschild.cohomology import Cochain
+
+    original = yo.express
+
+    def perturbed(A, cochain):
+        values = [cochain.values[0] + A.x()] + cochain.values[1:]
+        return original(A, Cochain(A, cochain.degree, values))
+
+    monkeypatch.setattr(yo, "express", perturbed)
+
+
+@pytest.mark.parametrize("command", (
+    ["table", "--a", "3", "--max-degree", "2"],
+    ["verify", "--a", "3", "--suite", "table", "--max-degree", "2"],
+))
+@pytest.mark.parametrize("break_check, check", (
+    (lambda mp: non_cocycle_basis(mp, only_degree=2),
+     {"name": "named basis", "status": "fail", "witness": "zeta_0 in degree 2 is not a cocycle"}),
+    (non_cocycle_product,
+     {"name": "cocycle", "status": "fail", "witness": "cochain of degree 0 is not a cocycle"}),
+), ids=("basis", "cocycle"))
+def test_table_check_failure_exit_code(capsys, monkeypatch, command, break_check, check):
+    # a failed basis or cocycle check inside the table is a failing
+    # certificate with exit 1, not a traceback or a usage error
+    break_check(monkeypatch)
+    code, out = run(capsys, *command)
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["suite"] == "table"
+    assert payload["status"] == "fail"
+    assert payload["checks"] == [check]
 
 
 def test_verify_relations(capsys):

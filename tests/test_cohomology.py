@@ -20,6 +20,7 @@ from qci_hochschild.cohomology import (
     standard_basis,
 )
 from qci_hochschild.linalg import SparseMatrix
+from qci_hochschild.resolution import differential, preferred_variant
 from qci_hochschild.scalars import cyclotomic_field, k_sum, prime_field_for, rational_field
 
 
@@ -159,16 +160,102 @@ def test_delta_odd_kernel_monomials():
 
 @pytest.mark.parametrize("a", (2, 3, 5))
 def test_delta_computes_each_geometric_sum_once(monkeypatch, a):
-    # one build weights its entries with K(m) for m <= a + 1 only
+    # every build on one context shares the geometric sums K(m), m <= a + 1
     import qci_hochschild.cohomology as co
 
     calls = []
     monkeypatch.setattr(co, "k_sum", lambda t, alpha: calls.append(alpha) or k_sum(t, alpha))
     A = make(a)
     for n in (1, 2, 5):
-        calls.clear()
         delta_matrix(A, n)
-        assert calls == [A.q_power(m) for m in range(a + 2)]
+    assert calls == [A.q_power(m) for m in range(a + 2)]
+
+
+# -- both routes against their per-entry references ---------------------------------
+
+def hom_differential_by_columns(A, n):
+    """Entries of hom_differential(A, n), one column at a time: the band
+    elements of d_n acting on one monomial through EnvElement.act."""
+    d = differential(A, n, preferred_variant(A))
+    a2 = A.dim
+    entries = {}
+    for j in range(n):
+        for m in A.monomials():
+            col = j * a2 + A.mono_index(m)
+            for i in (j, j + 1):
+                env = d.entry(j, i)
+                if env is None:
+                    continue
+                for mono, c in env.act(A.monomial(*m)).terms.items():
+                    entries[(i * a2 + A.mono_index(mono), col)] = c
+    return entries
+
+
+def delta_matrix_by_entries(A, n):
+    """Entries of delta_matrix(A, n), one closed-form entry at a time."""
+    a = A.a
+    a2 = A.dim
+    qp = A.q_power
+    one = A.field.one()
+    K = [k_sum(a, qp(m)) for m in range(a + 2)]
+    entries = {}
+
+    def put(row_i, mono, col, scalar):
+        if scalar:
+            entries[(row_i * a2 + A.mono_index(mono), col)] = scalar
+
+    even = n % 2 == 0
+    for i in range(n + 1):
+        for u in range(a):
+            for v in range(a):
+                col = i * a2 + A.mono_index((u, v))
+                if even:
+                    if i % 2 == 0:
+                        if i <= n - 1 and u == 0:
+                            put(i, (a - 1, v), col, qp(1) * K[v + 1])
+                        if i >= 1 and v == 0:
+                            put(i - 1, (u, a - 1), col, K[u + 1])
+                    else:
+                        if i <= n - 1 and u + 1 < a:
+                            put(i, (u + 1, v), col, qp(v + 1) - qp(a - 1))
+                        if i >= 1 and v + 1 < a:
+                            put(i - 1, (u, v + 1), col, qp(u + 2) - one)
+                else:
+                    if i % 2 == 0:
+                        if i <= n - 1 and u + 1 < a:
+                            put(i, (u + 1, v), col, qp(a - 1) - qp(v))
+                        if i >= 1 and v == 0:
+                            put(i - 1, (u, a - 1), col, K[u + 2])
+                    else:
+                        if i <= n - 1 and u == 0:
+                            put(i, (a - 1, v), col, qp(1) * K[v + 2])
+                        if i >= 1 and v + 1 < a:
+                            put(i - 1, (u, v + 1), col, qp(u + 1) - one)
+    return entries
+
+
+@pytest.mark.parametrize("a, backend, q", [
+    *[(a, backend, None) for a in (2, 3, 4, 5) for backend in ("cyclotomic", "prime")],
+    *[(a, "rational", q) for a in (2, 3) for q in (2, 1)],  # general variant, q = 1 control
+])
+def test_routes_equal_their_references(a, backend, q):
+    A = make(a, backend) if q is None else QuantumCompleteIntersection(
+        a, rational_field(q), q=Fraction(q)
+    )
+    for n in range(1, 7):
+        assert hom_differential(A, n).entries == hom_differential_by_columns(A, n), n
+        assert delta_matrix(A, n).entries == delta_matrix_by_entries(A, n), n
+
+
+@pytest.mark.parametrize("backend", ("cyclotomic", "prime"))
+@pytest.mark.parametrize("a", (2, 3, 5, 7))
+def test_block_memo_is_bounded(a, backend):
+    # both routes draw on eight blocks each, whatever the degree
+    A = make(a, backend)
+    dimension_table(A, 20)
+    kinds = [key[0] for key in A._cache]
+    assert kinds.count("action") == 8
+    assert kinds.count("delta-block") == 8
 
 
 @pytest.mark.parametrize("a", (3, 4, 5))
