@@ -1,10 +1,18 @@
 """Brute-force cross-check on tensor powers of A over a prime field.
 
 This route is deliberately independent of the minimal-resolution pipeline:
-it carries its own monomial arithmetic, assembles the standard cochain
-coboundary on Hom(A^(tensor n), A), and does its own exact sparse row
-reduction on Python ints mod p, for any prime p = 1 (mod a).  Agreement of
-its dimensions with the two primary routes is one of the acceptance checks.
+it carries its own monomial arithmetic, assembles the standard coboundary on
+normalized cochains on Hom(Abar^(tensor n), A), and does its own exact sparse
+row reduction on Python ints mod p, for any prime p = 1 (mod a).  Agreement
+of its dimensions with the two primary routes is one of the acceptance checks.
+
+A normalized cochain vanishes as soon as one argument is 1, so its arguments
+range over the a^2 - 1 non-unit monomials, the basis of Abar = A/k.  These
+cochains form a subcomplex quasi-isomorphic to the full one (Loday, Cyclic
+Homology, ch. 1).  A is local with the non-unit monomials spanning its
+radical, so a product of two non-units is zero or a non-unit: the
+contractions in the coboundary never leave that alphabet, and the cup
+product of normalized cochains is normalized.
 
 A is Z^2-graded by deg y^u x^v = (u, v), and the coboundary preserves the
 internal bidegree deg(value) - sum deg(arguments) of a basis cochain.  The
@@ -114,8 +122,14 @@ class _SparseRows:
         self._rank = None
 
     def echelon(self) -> _Echelon:
+        """Echelon form of the rows, added shortest first.
+
+        Short rows make short pivots, so later rows gain less fill-in.  The
+        pivot columns and the reduced rows depend only on the row space, so
+        the order changes neither the rank nor the kernel basis.
+        """
         out = _Echelon(self.ncols, self.p)
-        for row in self.rows:
+        for row in sorted(self.rows, key=len):
             out.add(row)
         return out
 
@@ -140,11 +154,18 @@ class BarCochain:
 
 
 class BarComplex:
-    """The full cochain complex Hom(A^(tensor n), A) over F_p for one a."""
+    """Normalized cochains on Hom(Abar^(tensor n), A) over F_p for one a.
+
+    A basis cochain of degree n is an n-tuple of non-unit monomials (the
+    arguments, each an index 1..a^2-1) and a value monomial 0..a^2-1; its
+    index is _tuple_index(arguments) * a^2 + value.
+    """
 
     def __init__(self, a: int, modulus: int | None = None, size_cap: int = DEFAULT_SIZE_CAP):
         if a < 2:
             raise ValueError("a must be at least 2")
+        if size_cap < 1:
+            raise ValueError(f"size cap must be at least 1, got {size_cap}")
         self.a = a
         self.p = modulus if modulus is not None else smallest_prime_modulus(a)
         if not _is_prime(self.p):
@@ -153,9 +174,11 @@ class BarComplex:
             raise ValueError(f"modulus {self.p} admits no root of order {a}")
         self.size_cap = size_cap
         self.dim = a * a  # dim of A
+        self.letters = self.dim - 1  # the non-unit monomials 1..a^2-1
         self.q = smallest_root_of_unity(self.p, a)
         self._qpow = [pow(self.q, k, self.p) for k in range(a)]
         self._diff_cache: dict[int, _SparseRows] = {}
+        self._left, self._right = self._action_tables()
 
     # -- monomials: index u*a + v stands for y^u x^v ------------------------
 
@@ -168,8 +191,24 @@ class BarComplex:
             return None
         return (self._qpow[(v1 * u2) % a], (u1 + u2) * a + v1 + v2)
 
+    def _action_tables(self):
+        """For each monomial s, the lists over r of (m, c) with s.m = c r
+        (left) and m.s = c r (right), or None where no such m exists."""
+        d = self.dim
+        left = [[None] * d for _ in range(d)]
+        right = [[None] * d for _ in range(d)]
+        for s in range(d):
+            for m in range(d):
+                hit = self._mul(s, m)
+                if hit is not None:
+                    left[s][hit[1]] = (m, hit[0])
+                hit = self._mul(m, s)
+                if hit is not None:
+                    right[s][hit[1]] = (m, hit[0])
+        return left, right
+
     def cochain_dim(self, n: int) -> int:
-        return self.dim ** (n + 1)
+        return self.letters**n * self.dim
 
     def _check_cap(self, n: int):
         need = max(self.cochain_dim(n), self.cochain_dim(n + 1))
@@ -179,21 +218,22 @@ class BarComplex:
             )
 
     def _tuples(self, n: int):
-        """All n-tuples of monomial indices, in mixed-radix order."""
-        d = self.dim
-        tup = [0] * n
-        for _ in range(d**n):
+        """All n-tuples of non-unit monomial indices, in mixed-radix order:
+        the first argument varies fastest, so the k-th tuple has index k."""
+        top = self.letters
+        tup = [1] * n
+        for _ in range(top**n):
             yield tuple(tup)
             for k in range(n):
                 tup[k] += 1
-                if tup[k] < d:
+                if tup[k] <= top:
                     break
-                tup[k] = 0
+                tup[k] = 1
 
     def _tuple_index(self, tup) -> int:
         idx = 0
         for k in reversed(range(len(tup))):
-            idx = idx * self.dim + tup[k]
+            idx = idx * self.letters + tup[k] - 1
         return idx
 
     def bar_differential(self, n: int) -> _SparseRows:
@@ -202,6 +242,12 @@ class BarComplex:
         The value of the image cochain on (a_1, ..., a_(n+1)) is the outer
         left action on the first argument, minus/plus the contractions of
         adjacent arguments, plus the signed outer right action on the last.
+
+        The column offsets of these terms depend on the tuple only, so they
+        are computed once per tuple and shared by its a^2 rows.  In the
+        normalized basis the contraction columns are pairwise distinct and
+        apart from the two action columns, since their arguments carry a
+        different total degree; only the two actions can land on one column.
         """
         if n < 0:
             raise ValueError("degree must be nonnegative")
@@ -209,46 +255,42 @@ class BarComplex:
         cached = self._diff_cache.get(n)
         if cached is not None:
             return cached
-        d = self.dim
-        a = self.a
-        p = self.p
+        d, letters, p = self.dim, self.letters, self.p
         ncols = self.cochain_dim(n)
         nrows = self.cochain_dim(n + 1)
         rows: list = [None] * nrows  # every row is set below
         last_sign = 1 if (n + 1) % 2 == 0 else -1
-        for tup in self._tuples(n + 1):
-            base = self._tuple_index(tup) * d
+        power = [letters**k for k in range(n + 2)]
+        for idx, tup in enumerate(self._tuples(n + 1)):
+            # contraction k merges a_(k+1), a_(k+2) into digit k of the index
+            contractions = []
+            sign = 1
+            for k in range(n):
+                sign = -sign
+                hit = self._mul(tup[k], tup[k + 1])
+                if hit is None:
+                    continue
+                val, merged = hit
+                inner = (idx % power[k] + (merged - 1) * power[k]
+                         + idx // power[k + 2] * power[k + 1])
+                contractions.append((inner * d, sign * val % p))
+            left_base = idx // letters * d  # f(a_2, ..., a_(n+1))
+            right_base = idx % power[n] * d  # f(a_1, ..., a_n)
+            left, right = self._left[tup[0]], self._right[tup[n]]
             for r in range(d):
-                ur, vr = divmod(r, a)
-                entries: dict[int, int] = {}
-
-                def put(col, val):
-                    entries[col] = (entries.get(col, 0) + val) % p
-
-                # a_1 . f(a_2, ..., a_(n+1)) at monomial r
-                u1, v1 = divmod(tup[0], a)
-                if ur >= u1 and vr >= v1:
-                    m = (ur - u1) * a + (vr - v1)
-                    scale = self._qpow[(v1 * (ur - u1)) % a]
-                    put(self._tuple_index(tup[1:]) * d + m, scale)
-                # contractions of adjacent arguments
-                sign = 1
-                for kmid in range(n):
-                    sign = -sign
-                    hit = self._mul(tup[kmid], tup[kmid + 1])
-                    if hit is None:
-                        continue
-                    val, merged = hit
-                    inner = tup[:kmid] + (merged,) + tup[kmid + 2 :]
-                    put(self._tuple_index(inner) * d + r, sign * val)
-                # f(a_1, ..., a_n) . a_(n+1) at monomial r
-                ul, vl = divmod(tup[n], a)
-                if ur >= ul and vr >= vl:
-                    m = (ur - ul) * a + (vr - vl)
-                    scale = self._qpow[((vr - vl) * ul) % a]
-                    put(self._tuple_index(tup[:n]) * d + m, last_sign * scale)
-
-                rows[base + r] = {c: v for c, v in entries.items() if v}
+                row = {base + r: val for base, val in contractions}
+                hit = left[r]
+                if hit is not None:
+                    row[left_base + hit[0]] = hit[1]
+                hit = right[r]
+                if hit is not None:
+                    col = right_base + hit[0]
+                    val = (row.get(col, 0) + last_sign * hit[1]) % p
+                    if val:
+                        row[col] = val
+                    else:
+                        del row[col]
+                rows[idx * d + r] = row
         result = _SparseRows(nrows, ncols, rows, p)
         self._diff_cache[n] = result
         return result

@@ -230,10 +230,23 @@ def cmd_verify(args) -> int:
     return 0 if cert["status"] == "pass" else 1
 
 
+def size_cap_from_env() -> int:
+    """The oracle's cap from QCIHH_SIZE_CAP: a positive integer, else a usage error."""
+    raw = os.environ.get(ENV_SIZE_CAP)
+    if raw is None:
+        return DEFAULT_SIZE_CAP
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"{ENV_SIZE_CAP} must be a positive integer, got {raw!r}")
+    return cap
+
+
 def cmd_oracle(args) -> int:
-    cap = int(os.environ.get(ENV_SIZE_CAP, DEFAULT_SIZE_CAP))
-    # an unusable --a or --modulus raises here and is a usage error
-    oracle = BarComplex(args.a, modulus=args.modulus, size_cap=cap)
+    # an unusable cap, --a or --modulus raises here and is a usage error
+    oracle = BarComplex(args.a, modulus=args.modulus, size_cap=size_cap_from_env())
     try:
         rows = oracle.dimension_rows(args.max_degree)
     except SizeError as exc:

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qci_hochschild.algebra import QuantumCompleteIntersection
-from qci_hochschild.bar import BarCochain, BarComplex, SizeError, _Echelon
+from qci_hochschild.bar import BarCochain, BarComplex, SizeError, _Echelon, _SparseRows
 from qci_hochschild.cohomology import hh_dimension_ext
 from qci_hochschild.linalg import SparseMatrix
 from qci_hochschild.scalars import prime_field, prime_field_for
@@ -31,11 +32,125 @@ def test_degree_zero_kernel_is_center():
 
 
 def test_cochain_space_dimensions():
+    # normalized: (a^2 - 1)^n arguments times a^2 values
     B = BarComplex(2)
-    assert B.cochain_dim(3) == 256
+    assert B.cochain_dim(3) == 108
     assert B.cochain_dim(0) == 4
     B3 = BarComplex(3)
-    assert B3.cochain_dim(3) == 6561
+    assert B3.cochain_dim(3) == 4608
+
+
+def plain_differential(B, n):
+    """Reference: the coboundary formula term by term on B's own tuple layout,
+    every term accumulated, so that it holds whichever terms share a column."""
+    d, a, p = B.dim, B.a, B.p
+    qpow = [pow(B.q, k, p) for k in range(a)]
+    last_sign = 1 if (n + 1) % 2 == 0 else -1
+    rows = []
+    for tup in B._tuples(n + 1):
+        for r in range(d):
+            ur, vr = divmod(r, a)
+            entries = {}
+
+            def put(col, val):
+                entries[col] = (entries.get(col, 0) + val) % p
+
+            u1, v1 = divmod(tup[0], a)
+            if ur >= u1 and vr >= v1:
+                m = (ur - u1) * a + (vr - v1)
+                put(B._tuple_index(tup[1:]) * d + m, qpow[(v1 * (ur - u1)) % a])
+            sign = 1
+            for k in range(n):
+                sign = -sign
+                hit = B._mul(tup[k], tup[k + 1])
+                if hit is not None:
+                    val, merged = hit
+                    inner = tup[:k] + (merged,) + tup[k + 2 :]
+                    put(B._tuple_index(inner) * d + r, sign * val)
+            ul, vl = divmod(tup[n], a)
+            if ur >= ul and vr >= vl:
+                m = (ur - ul) * a + (vr - vl)
+                put(B._tuple_index(tup[:n]) * d + m, last_sign * qpow[((vr - vl) * ul) % a])
+            rows.append({c: v for c, v in entries.items() if v})
+    return rows
+
+
+class FullBarComplex(BarComplex):
+    """Reference: the full complex Hom(A^(tensor n), A), whose arguments range
+    over every monomial, the unit included, built by the plain formula."""
+
+    def cochain_dim(self, n):
+        return self.dim ** (n + 1)
+
+    def _tuples(self, n):
+        for tup in itertools.product(range(self.dim), repeat=n):
+            yield tup[::-1]  # the first argument varies fastest
+
+    def _tuple_index(self, tup):
+        idx = 0
+        for k in reversed(range(len(tup))):
+            idx = idx * self.dim + tup[k]
+        return idx
+
+    def bar_differential(self, n):
+        self._check_cap(n)
+        if n not in self._diff_cache:
+            rows = plain_differential(self, n)
+            self._diff_cache[n] = _SparseRows(len(rows), self.cochain_dim(n), rows, self.p)
+        return self._diff_cache[n]
+
+
+def composes_to_zero(d_low, d_high):
+    """d_high . d_low == 0 mod p, composed row by row."""
+    for row in d_high.rows:
+        out = {}
+        for j, v in row.items():
+            for c, w in d_low.rows[j].items():
+                out[c] = (out.get(c, 0) + v * w) % d_low.p
+        if any(out.values()):
+            return False
+    return True
+
+
+def test_full_reference_layout():
+    B, B3 = FullBarComplex(2), FullBarComplex(3)
+    assert B.cochain_dim(3) == 256 and B3.cochain_dim(3) == 6561
+    for C in (B, B3):
+        tuples = list(C._tuples(2))
+        assert [C._tuple_index(t) for t in tuples] == list(range(C.dim**2))
+
+
+@pytest.mark.parametrize("a, top", [(2, 4), (3, 2)])
+def test_full_and_normalized_complexes_agree(a, top):
+    full, normalized = FullBarComplex(a), BarComplex(a)
+    for n in range(top + 1):
+        assert full.bar_hh_dimension(n) == normalized.bar_hh_dimension(n) == 2 * n + 2, (a, n)
+
+
+@pytest.mark.parametrize("complex_type", [BarComplex, FullBarComplex])
+def test_coboundary_squares_to_zero(complex_type):
+    for a, top in ((2, 3), (3, 1)):
+        B = complex_type(a)
+        for n in range(top + 1):
+            assert composes_to_zero(B.bar_differential(n), B.bar_differential(n + 1)), (a, n)
+
+
+@pytest.mark.parametrize("a, modulus, top", [(2, None, 4), (2, 13, 3), (3, None, 2), (4, None, 1)])
+def test_build_matches_plain_formula(a, modulus, top):
+    B = BarComplex(a, modulus=modulus)
+    for n in range(top + 1):
+        diff = B.bar_differential(n)
+        assert diff.nrows == len(diff.rows) == B.cochain_dim(n + 1)
+        assert diff.rows == plain_differential(B, n), (a, B.p, n)
+
+
+def test_normalized_tuple_layout():
+    for a in (2, 3):
+        B = BarComplex(a)
+        tuples = list(B._tuples(3))
+        assert len(tuples) == B.cochain_dim(3) // B.dim
+        assert all(1 <= m < B.dim for tup in tuples for m in tup)
+        assert [B._tuple_index(t) for t in tuples] == list(range(len(tuples)))
 
 
 def test_dimensions_a2():
@@ -69,26 +184,27 @@ def test_block_rank_matches_full_reduction(a, modulus, top):
         assert diff.rank() == linalg_rank(diff.rows, diff.ncols, field), (a, B.p, n)
 
 
-def bidegrees(a, n):
+def bidegrees(B, n):
     """Internal bidegree deg(value) - sum deg(arguments) of each degree-n basis
-    cochain; digit 0 of the index is the value monomial y^u x^v, u*a + v."""
-    d = a * a
+    cochain, in index order: the argument tuples of B._tuples(n), each with
+    every value monomial y^u x^v, u*a + v."""
+    a = B.a
     out = []
-    for index in range(d ** (n + 1)):
-        u = v = 0
-        for k in range(n + 1):
-            hi, lo = divmod(index // d**k % d, a)
-            sign = 1 if k == 0 else -1
-            u, v = u + sign * hi, v + sign * lo
-        out.append((u, v))
+    for tup in B._tuples(n):
+        du = sum(m // a for m in tup)
+        dv = sum(m % a for m in tup)
+        for value in range(B.dim):
+            u, v = divmod(value, a)
+            out.append((u - du, v - dv))
     return out
 
 
 def test_coboundary_preserves_internal_bidegree():
     for a, top in ((2, 3), (3, 2)):
+        B = BarComplex(a)
         for n in range(top + 1):
-            cols, rows = bidegrees(a, n), bidegrees(a, n + 1)
-            for i, row in enumerate(BarComplex(a).bar_differential(n).rows):
+            cols, rows = bidegrees(B, n), bidegrees(B, n + 1)
+            for i, row in enumerate(B.bar_differential(n).rows):
                 for col in row:
                     assert rows[i] == cols[col], (a, n, i, col)
             assert len(set(cols)) > 1
@@ -97,6 +213,12 @@ def test_coboundary_preserves_internal_bidegree():
 def test_size_cap():
     with pytest.raises(SizeError):
         BarComplex(3, size_cap=1000).bar_differential(3)
+
+
+@pytest.mark.parametrize("cap", [0, -5])
+def test_size_cap_must_be_positive(cap):
+    with pytest.raises(ValueError, match=f"size cap must be at least 1, got {cap}"):
+        BarComplex(2, size_cap=cap)
 
 
 def test_modulus_must_admit_root():
@@ -232,3 +354,16 @@ def test_echelon_rank_residue_and_kernel(case):
         for row in rows:
             assert sum(v * k.get(c, 0) for c, v in row.items()) % p == 0
     assert linalg_rank(kernel, ncols, field) == len(kernel)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_rows(), st.data())
+def test_echelon_row_order_invariance(case, data):
+    # shortest rows first is one order among many: rank and kernel stay put
+    p, ncols, rows, _, _ = case
+    shortest_first = _SparseRows(len(rows), ncols, rows, p).echelon()
+    shuffled = _Echelon(ncols, p)
+    for i in data.draw(st.permutations(range(len(rows)))):
+        shuffled.add(rows[i])
+    assert shuffled.rank == shortest_first.rank
+    assert shuffled.kernel() == shortest_first.kernel()

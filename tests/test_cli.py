@@ -226,6 +226,34 @@ def test_oracle_cap_error(capsys, monkeypatch):
     assert "exceeds" in captured.err
 
 
+@pytest.mark.parametrize("cap", ["-5", "0", "ten"])
+def test_oracle_unusable_cap_is_usage_error(capsys, monkeypatch, cap):
+    # a cap below 1 is a bad setting, not a failed check
+    monkeypatch.setenv(cli.ENV_SIZE_CAP, cap)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["oracle", "--a", "2", "--max-degree", "1"])
+    assert exc.value.code == 2
+    assert f"QCIHH_SIZE_CAP must be a positive integer, got '{cap}'" in capsys.readouterr().err
+
+
+def test_oracle_default_cap_counts_normalized_cochains(capsys, monkeypatch):
+    # a=2 degree 7 needs 26,244 normalized rows (262,144 full ones)
+    monkeypatch.delenv(cli.ENV_SIZE_CAP, raising=False)
+    code, out = run(capsys, "oracle", "--a", "2", "--max-degree", "7")
+    assert code == 0
+    assert [row["bar"] for row in json.loads(out)["rows"]] == [2 * n + 2 for n in range(8)]
+
+
+def test_oracle_default_cap_refuses_a3_degree4(capsys, monkeypatch):
+    # a=3 degree 4 needs 294,912 normalized rows, over the default cap
+    monkeypatch.delenv(cli.ENV_SIZE_CAP, raising=False)
+    code = cli.main(["oracle", "--a", "3", "--max-degree", "4"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "cochain space of dimension 294912 exceeds the cap 100000" in captured.err
+
+
 def test_oracle_composite_modulus_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["oracle", "--a", "2", "--max-degree", "3", "--modulus", "9"])
