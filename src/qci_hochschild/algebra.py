@@ -29,9 +29,10 @@ class QuantumCompleteIntersection:
     """Context object: order a, ground field, deformation parameter q.
 
     q defaults to the field's distinguished primitive a-th root of unity but
-    may be overridden with any nonzero scalar (the resolution differentials
-    make sense for arbitrary q; the cohomology statements need a primitive
-    root).
+    may be overridden with any nonzero scalar of the field, or an int, which
+    is read as one (the resolution differentials make sense for arbitrary q;
+    the cohomology statements need a primitive root).  Any other q, such as
+    a Fraction, a float or a scalar of another backend, raises TypeError.
     """
 
     def __init__(self, a: int, field, q=None):
@@ -39,7 +40,13 @@ class QuantumCompleteIntersection:
             raise ValueError("a must be at least 2")
         self.a = a
         self.field = field
-        self.q = field.root if q is None else q
+        if q is None:
+            q = field.root
+        elif isinstance(q, int):
+            q = field.from_int(q)
+        elif getattr(q, "field", None) != field:
+            raise TypeError(f"q must be an int or a scalar of {field!r}, not {type(q).__name__}")
+        self.q = q
         if not self.q:
             raise ValueError("q must be nonzero")
         self.dim = a * a
@@ -450,7 +457,10 @@ def _from_text(cls, A: QuantumCompleteIntersection, text: str):
         key = tuple(legs) if width > 1 else legs[0]
         if key in terms:
             raise ValueError(f"term {part.strip()!r} repeats an earlier monomial")
-        terms[key] = _parse_scalar(A.field, scalar_text)
+        try:
+            terms[key] = _parse_scalar(A.field, scalar_text)
+        except ValueError as exc:
+            raise ValueError(f"term {part.strip()!r} has a malformed coefficient ({exc})") from None
     return cls(A, terms)
 
 

@@ -375,11 +375,7 @@ class DimensionTable:
     rows: list
 
     def consistent(self) -> bool:
-        out = True
-        for row in self.rows:
-            dims = [row[k] for k in ("ext", "tor", "bar") if k in row]
-            out = out and all(d == dims[0] for d in dims)
-        return out
+        return all(row["ext"] == row["tor"] for row in self.rows)
 
     def to_json_obj(self):
         return {
@@ -390,22 +386,13 @@ class DimensionTable:
         }
 
     def to_csv_text(self) -> str:
-        keys = ["n"] + [k for k in ("ext", "tor", "bar") if k in self.rows[0]]
-        lines = [",".join(keys)]
-        for row in self.rows:
-            lines.append(",".join(str(row[k]) for k in keys))
+        lines = ["n,ext,tor"] + [f"{row['n']},{row['ext']},{row['tor']}" for row in self.rows]
         return "\n".join(lines) + "\n"
 
 
-def dimension_table(
-    A: QuantumCompleteIntersection, max_degree: int, routes=("ext", "tor")
-) -> DimensionTable:
-    rows = []
-    for n in range(max_degree + 1):
-        row = {"n": n}
-        if "ext" in routes:
-            row["ext"] = hh_dimension_ext(A, n)
-        if "tor" in routes:
-            row["tor"] = hh_dimension_tor(A, n)
-        rows.append(row)
+def dimension_table(A: QuantumCompleteIntersection, max_degree: int) -> DimensionTable:
+    rows = [
+        {"n": n, "ext": hh_dimension_ext(A, n), "tor": hh_dimension_tor(A, n)}
+        for n in range(max_degree + 1)
+    ]
     return DimensionTable(a=A.a, backend=A.field.describe(), rows=rows)

@@ -95,7 +95,7 @@ def _eliminate(rows, cols, reduced):
         row = remaining.pop(best[1])
         targets = [r for r in chain(remaining, pivot_rows if reduced else ()) if col in r]
         if reduced or targets:
-            inv = 1 / row[col]
+            inv = row[col].inverse()
         if reduced:
             row = {c: v * inv for c, v in row.items()}
         for other in targets:
@@ -324,7 +324,7 @@ def coset_basis(inner: Subspace, outer: Subspace) -> list:
         residue = _reduce_vector(vec, pivots, rows)
         if residue:
             lead = min(residue)
-            inv = 1 / residue[lead]
+            inv = residue[lead].inverse()
             pivots.append(lead)
             rows.append({c: v * inv for c, v in residue.items()})
             chosen.append(dict(vec))

@@ -1,8 +1,10 @@
 """Exact ground fields carrying a primitive a-th root of unity.
 
-Three interchangeable backends: the rationals (only orders 1 and 2), the
-cyclotomic field Q(zeta_a), and a prime field F_p with p = 1 (mod a).  Field
-elements support ordinary Python arithmetic (+, -, *, /, **) and are
+Two scalar implementations: the cyclotomic field Q(zeta_a) and a prime field
+F_p with p = 1 (mod a).  The rational backend is Q(zeta_a) for a <= 2, the
+only orders whose roots of unity lie in Q, under its own name.  Every field
+hands out only its own scalar type, never a bare int, Fraction or float.
+Field elements support ordinary Python arithmetic (+, -, *, /, **) and are
 immutable, so they are safe to share freely.  An element of Q(zeta_a) is a
 tuple of integer numerators over one positive denominator, in lowest terms,
 as FLINT lays out a number-field element; Fractions appear only at its
@@ -314,50 +316,6 @@ class PrimeFieldScalar(_FieldScalar):
 # field handles
 
 
-class RationalField:
-    """The rationals; primitive roots exist only for orders 1 and 2."""
-
-    tag = "rational"
-
-    def __init__(self, root_order: int = 2):
-        if root_order not in (1, 2):
-            raise NoRootError(
-                f"the rationals contain no primitive root of order {root_order}"
-            )
-        self.root_order = root_order
-
-    @property
-    def root(self):
-        return Fraction(1) if self.root_order == 1 else Fraction(-1)
-
-    def zero(self):
-        return Fraction(0)
-
-    def one(self):
-        return Fraction(1)
-
-    def from_int(self, n: int):
-        return Fraction(n)
-
-    def scalar_to_text(self, s) -> str:
-        return str(s)
-
-    def scalar_from_text(self, text: str):
-        return Fraction(text)
-
-    def describe(self) -> str:
-        return "rational"
-
-    def __eq__(self, other):
-        return isinstance(other, RationalField) and other.root_order == self.root_order
-
-    def __hash__(self):
-        return hash(("rational", self.root_order))
-
-    def __repr__(self):
-        return f"RationalField(root_order={self.root_order})"
-
-
 _INVERSE_MEMO_SIZE = 4096  # entries kept per field before the memo starts over
 
 
@@ -447,13 +405,32 @@ class CyclotomicField:
         return f"cyclotomic({self.order})"
 
     def __eq__(self, other):
-        return isinstance(other, CyclotomicField) and other.order == self.order
+        return type(other) is type(self) and other.order == self.order
 
     def __hash__(self):
-        return hash(("cyclotomic", self.order))
+        return hash((self.tag, self.order))
 
     def __repr__(self):
         return f"CyclotomicField({self.order})"
+
+
+class RationalField(CyclotomicField):
+    """The rationals as Q(zeta_a), which is Q itself for the orders 1 and 2 only."""
+
+    tag = "rational"
+
+    def __init__(self, root_order: int = 2):
+        if root_order not in (1, 2):
+            raise NoRootError(
+                f"the rationals contain no primitive root of order {root_order}"
+            )
+        super().__init__(root_order)
+
+    def describe(self) -> str:
+        return "rational"
+
+    def __repr__(self):
+        return f"RationalField(root_order={self.order})"
 
 
 def _is_prime(n: int) -> bool:
@@ -551,7 +528,10 @@ class PrimeField:
         return str(s.value)
 
     def scalar_from_text(self, text: str):
-        return PrimeFieldScalar(self, int(text))
+        try:
+            return PrimeFieldScalar(self, int(text))
+        except ValueError:
+            raise ValueError(f"malformed term {text!r}") from None
 
     def describe(self) -> str:
         return f"prime({self.modulus})"

@@ -6,7 +6,6 @@ per-criterion lines alongside the pass/fail verdicts.
 """
 
 import time
-from fractions import Fraction
 
 from qci_hochschild.algebra import (
     QuantumCompleteIntersection,
@@ -102,7 +101,8 @@ def test_criterion_4_identity_suites():
         assert relations_check(cyc(a)).ok, a
     for a in range(3, 13):
         assert sum_identity_check(cyc(a)), a
-    degenerate = QuantumCompleteIntersection(3, rational_field(1), q=Fraction(1))
+    Q1 = rational_field(1)
+    degenerate = QuantumCompleteIntersection(3, Q1, q=Q1.one())
     bad = relations_check(degenerate)
     assert not bad.status("a")
     assert not sum_identity_check(degenerate)

@@ -21,12 +21,22 @@ from qci_hochschild.algebra import (
     trace_form,
 )
 from qci_hochschild.resolution import GAMMA_X, beta_element, structure_element
-from qci_hochschild.scalars import cyclotomic_field, prime_field_for
+from qci_hochschild.scalars import cyclotomic_field, prime_field_for, rational_field
 
 
 def make(a, backend="cyclotomic"):
     field = cyclotomic_field(a) if backend == "cyclotomic" else prime_field_for(a)
     return QuantumCompleteIntersection(a, field)
+
+
+@pytest.mark.parametrize("field", [rational_field(2), cyclotomic_field(3), prime_field_for(3)], ids=repr)
+@pytest.mark.parametrize(
+    "q, name",
+    [(Fraction(1, 2), "Fraction"), (0.5, "float"), (cyclotomic_field(2).one(), "CyclotomicScalar")],
+)
+def test_q_must_be_an_int_or_a_scalar_of_the_field(field, q, name):
+    with pytest.raises(TypeError, match=f"not {name}$"):
+        QuantumCompleteIntersection(3, field, q=q)
 
 
 # -- independent rewriting oracle --------------------------------------------
@@ -364,19 +374,25 @@ def test_env_text_round_trip_property(data):
     assert env_to_text(env_from_text(A, text)) == text
 
 
+MALFORMED_ELEMENT_TERMS = [
+    ("cyclotomic", "1 * y^3 x^0", "exponent outside 0..2"),  # not in normal form: y^3 = 0
+    ("cyclotomic", "1 * y^1 x^-1", "is not 'c * y^u x^v'"),
+    ("cyclotomic", "1 * z^0 q^1", "is not 'c * y^u x^v'"),  # used to parse as x
+    ("cyclotomic", "y^0 x^1", "is not 'c * y^u x^v'"),
+    ("cyclotomic", "1 * y^0 x^0 (x) y^0 x^0", "is not 'c * y^u x^v'"),
+    ("cyclotomic", "2 * y^1 x^1", "repeats an earlier monomial"),  # used to keep only the last
+    ("rational", "1/0 * y^0 x^0", "malformed coefficient"),  # used to raise ZeroDivisionError
+    ("prime", "1/2 * y^0 x^0", "malformed coefficient"),
+]
+
+
 @pytest.mark.parametrize(
-    "text, problem",
-    [
-        ("1 * y^3 x^0", "exponent outside 0..2"),  # not in normal form: y^3 = 0
-        ("1 * y^1 x^-1", "is not 'c * y^u x^v'"),
-        ("1 * z^0 q^1", "is not 'c * y^u x^v'"),  # used to parse as x
-        ("y^0 x^1", "is not 'c * y^u x^v'"),
-        ("1 * y^0 x^0 (x) y^0 x^0", "is not 'c * y^u x^v'"),
-        ("2 * y^1 x^1", "repeats an earlier monomial"),  # used to keep only the last
-    ],
+    "backend, text, problem",
+    MALFORMED_ELEMENT_TERMS,
+    ids=[f"{text}-{problem}" for _, text, problem in MALFORMED_ELEMENT_TERMS],
 )
-def test_element_text_rejects_malformed_terms(text, problem):
-    A = make(3)
+def test_element_text_rejects_malformed_terms(backend, text, problem):
+    A = QuantumCompleteIntersection(2, rational_field(2)) if backend == "rational" else make(3, backend)
     with pytest.raises(ValueError, match=re.escape(f"term {text!r} ") + ".*" + re.escape(problem)):
         element_from_text(A, "1 * y^1 x^1 + " + text)
 
@@ -397,10 +413,9 @@ def test_env_text_rejects_malformed_terms(text, problem):
 
 
 def test_rational_scalar_text_in_elements():
-    from qci_hochschild.scalars import rational_field
-
-    A = QuantumCompleteIntersection(2, rational_field(2))
-    elt = A.element({(0, 0): Fraction(-2, 3), (1, 1): Fraction(5)})
+    R = rational_field(2)
+    A = QuantumCompleteIntersection(2, R)
+    elt = A.element({(0, 0): R.from_int(-2) / 3, (1, 1): R.from_int(5)})
     text = element_to_text(elt)
     assert text == "-2/3 * y^0 x^0 + 5 * y^1 x^1"
     assert element_from_text(A, text) == elt

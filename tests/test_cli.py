@@ -379,6 +379,13 @@ def test_dump_resolution_round_trips(capsys):
             env_from_text(A, body)  # parses without error
 
 
+def test_rational_backend_without_root_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["dims", "--a", "3", "--backend", "rational"])
+    assert exc.value.code == 2
+    assert "the rationals contain no primitive root of order 3" in capsys.readouterr().err
+
+
 def test_backend_env_default(capsys, monkeypatch):
     monkeypatch.setenv(cli.ENV_BACKEND, "prime")
     code, out = run(capsys, "dims", "--a", "3", "--max-degree", "2")
@@ -387,7 +394,8 @@ def test_backend_env_default(capsys, monkeypatch):
 
 
 # SHA-256 of the stdout of every subcommand at small sizes, on the cyclotomic
-# and the prime backend wherever a subcommand takes --backend.  The output is
+# and the prime backend wherever a subcommand takes --backend, and on the
+# rational backend at a = 2 wherever the subcommand admits a = 2.  The output is
 # promised byte for byte, so any change to these bytes is a change of output.
 GOLDEN_STDOUT = {
     "dims --a 3 --backend cyclotomic --max-degree 4":
@@ -430,6 +438,22 @@ GOLDEN_STDOUT = {
         "ef7d2674a613fe075233c20c45bfd927a28790205fa09f614f138ecda72c2ca6",
     "dump-resolution --a 3 --backend prime --max-degree 2":
         "55f45913ce8407088183b2f2f180d82216b3158b370f4a123892ddcf78538cee",
+    "dims --a 2 --backend rational --max-degree 4":
+        "e3e2ed54213cbfa4920236f65a7cc842564b456e53205241e546fb3897b8eefe",
+    "dims --a 2 --backend rational --max-degree 3 --format csv":
+        "64ce16111d5d1cdbc35271d012be1ee14bb927549f7bafa65b38947aebe1d00e",
+    "basis --a 2 --backend rational --degree 2":
+        "6775d5234797e458b3f099392ab239731c0314b86987215db0328909e8b9287e",
+    "product --a 2 --backend rational --deg1 2 --i 1 --deg2 2 --j 1":
+        "aab441b1feff6cb6326003cb58d0f87a2e0727e73b310b73b2dcddc48756aa72",
+    "table --a 2 --backend rational --max-degree 4":
+        "2c4a4a84b89de32f269d988110b1d6062086c43057f208d6e3943cb8610aeecd",
+    "verify --a 2 --backend rational --suite liftings --t-max 1 --s-max 3":
+        "0692fa7e55da32b3bb3cfaa2feddd123210d0c4bf7878bc38288abe2b7510e2d",
+    "verify --a 2 --backend rational --suite table --max-degree 4":
+        "5fdb8df4cb3486df8895337d1dfaba9479c7d60e6626786b82eb31482004e113",
+    "dump-resolution --a 2 --backend rational --max-degree 3":
+        "df35a8ea387024b8fa17b856cf7f4cb74683a48d54cc63ec0ade114c9639628a",
     "oracle --a 2 --max-degree 2":
         "04f74ec8d3893a1beea28ff6968e6081af501f1d60ef81a5a657bbc80d6a7989",
     "oracle --a 3 --max-degree 1":

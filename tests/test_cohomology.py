@@ -1,6 +1,5 @@
 import functools
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +18,7 @@ from qci_hochschild.cohomology import (
     hom_differential,
     standard_basis,
 )
-from qci_hochschild.linalg import SparseMatrix
+from qci_hochschild.linalg import SparseMatrix, _rref
 from qci_hochschild.resolution import differential, preferred_variant
 from qci_hochschild.scalars import cyclotomic_field, k_sum, prime_field_for, rational_field
 
@@ -30,6 +29,19 @@ def make(a, backend="cyclotomic"):
 
 
 # -- transpose differentials -------------------------------------------------
+
+@pytest.mark.parametrize("field", [rational_field(2), cyclotomic_field(3), prime_field_for(3)], ids=repr)
+def test_integer_q_gives_only_field_scalars(field):
+    # q = 2 is no root of unity over Q, so q_power(-1) = 1/2 used to be a float
+    A = QuantumCompleteIntersection(3, field, q=2)
+    assert A.q == field.from_int(2)
+    for m in (hom_differential(A, 2), delta_matrix(A, 2)):
+        _, rows = _rref(m.row_dicts(), m.cols)
+        values = list(m.entries.values()) + [v for row in rows for v in row.values()]
+        assert values
+        for v in values:
+            assert type(v) is type(field.one()) and v.field == field, v
+
 
 def test_hom_differential_shape():
     A = make(3)
@@ -240,7 +252,7 @@ def delta_matrix_by_entries(A, n):
 ])
 def test_routes_equal_their_references(a, backend, q):
     A = make(a, backend) if q is None else QuantumCompleteIntersection(
-        a, rational_field(q), q=Fraction(q)
+        a, rational_field(q), q=rational_field(q).from_int(q)
     )
     for n in range(1, 7):
         assert hom_differential(A, n).entries == hom_differential_by_columns(A, n), n
@@ -383,7 +395,8 @@ def test_basis_error_on_class_dependent_modulo_coboundaries(monkeypatch):
 def test_basis_error_when_classes_do_not_span(a):
     # at q = 1 the algebra is commutative, every element is central, and the
     # two named degree-0 classes span too little of HH^0 = A
-    A = QuantumCompleteIntersection(a, rational_field(1), q=Fraction(1))
+    Q1 = rational_field(1)
+    A = QuantumCompleteIntersection(a, Q1, q=Q1.one())
     with pytest.raises(
         BasisError, match=f"cohomology has dimension {a * a}, so 2 classes cannot span it"
     ):

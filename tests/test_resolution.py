@@ -1,4 +1,3 @@
-from fractions import Fraction
 
 import pytest
 
@@ -179,7 +178,8 @@ def test_complex_property(a):
 
 def test_complex_property_generic_q():
     # the construction works for any nonzero q, not only roots of unity
-    A = QuantumCompleteIntersection(3, rational_field(2), q=Fraction(2))
+    R = rational_field(2)
+    A = QuantumCompleteIntersection(3, R, q=R.from_int(2))
     assert not A.is_root_of_unity
     for n in range(2, 8):
         assert not compose(differential(A, n - 1), differential(A, n))

@@ -15,7 +15,6 @@ from qci_hochschild.yoneda import (
     verify_lifting,
     yoneda_product,
 )
-from fractions import Fraction
 
 
 def make(a, backend="cyclotomic"):
@@ -312,7 +311,8 @@ def test_relations_hold_prime_backend(a):
 
 
 def test_relations_fail_at_degenerate_q():
-    A = QuantumCompleteIntersection(3, rational_field(1), q=Fraction(1))
+    Q1 = rational_field(1)
+    A = QuantumCompleteIntersection(3, Q1, q=Q1.one())
     report = relations_check(A)
     assert not report.status("a")
     assert not report.ok
@@ -329,9 +329,8 @@ def test_sum_identity(a):
 
 
 def test_sum_identity_negative_and_precondition():
-    assert not sum_identity_check(
-        QuantumCompleteIntersection(3, rational_field(1), q=Fraction(1))
-    )
+    Q1 = rational_field(1)
+    assert not sum_identity_check(QuantumCompleteIntersection(3, Q1, q=Q1.one()))
     with pytest.raises(OrderError):
         sum_identity_check(make(2))
 
