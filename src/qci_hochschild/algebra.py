@@ -61,6 +61,16 @@ class QuantumCompleteIntersection:
             self._qpow = None
         self._cache = {}
 
+    def cached(self, key, build):
+        """The value built by build() for key, built once per context.
+
+        The one memo of everything derived from the context.  A build that
+        raises stores nothing, so the next call builds again.
+        """
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
+
     # -- scalars ------------------------------------------------------------
 
     def q_power(self, s: int):

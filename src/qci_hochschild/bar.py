@@ -340,18 +340,15 @@ class BarComplex:
 
     def coboundary_reducer(self, n: int) -> _Echelon:
         """Echelon form of the image of the coboundary landing in degree n."""
-        reducer = _Echelon(self.cochain_dim(n), self.p)
         if n == 0:
-            return reducer
+            return _Echelon(self.cochain_dim(n), self.p)
         diff = self.bar_differential(n - 1)
         # image = span of the columns; transpose by scattering entries
         cols = [{} for _ in range(diff.ncols)]
         for i, row in enumerate(diff.rows):
             for col, val in row.items():
                 cols[col][i] = val
-        for col in cols:
-            reducer.add(col)
-        return reducer
+        return _SparseRows(diff.ncols, diff.nrows, cols, self.p).echelon()
 
     def span_dimension_mod_coboundaries(self, cochains, n: int) -> int:
         """Dimension of the span of the given degree-n cocycles in cohomology."""

@@ -93,21 +93,20 @@ def _action_block(A: QuantumCompleteIntersection, env) -> dict:
     element's value, so equal band elements of different degrees or columns
     share one block.
     """
-    key = ("action", frozenset(env.terms.items()))
-    block = A._cache.get(key)
-    if block is not None:
+
+    def build():
+        block = {}
+        for m in A.monomials():
+            col = A.mono_index(m)
+            for tensor, c in env.terms.items():
+                hit = A.act_mono(tensor, m)
+                if hit is None:
+                    continue
+                scale, mono = hit
+                add_term(block, (A.mono_index(mono), col), c * scale)
         return block
-    block = {}
-    for m in A.monomials():
-        col = A.mono_index(m)
-        for tensor, c in env.terms.items():
-            hit = A.act_mono(tensor, m)
-            if hit is None:
-                continue
-            scale, mono = hit
-            add_term(block, (A.mono_index(mono), col), c * scale)
-    A._cache[key] = block
-    return block
+
+    return A.cached(("action", frozenset(env.terms.items())), build)
 
 
 def _tile(entries, block, row_offset, col_offset):
@@ -125,18 +124,15 @@ def hom_differential(A: QuantumCompleteIntersection, n: int) -> SparseMatrix:
     """
     if n < 1:
         raise ValueError("transpose differentials start in degree 1")
-    key = ("homdiff", n)
-    cached = A._cache.get(key)
-    if cached is not None:
-        return cached
-    d = differential(A, n, preferred_variant(A))
-    a2 = A.dim
-    entries = {}
-    for (j, i), env in d.entries.items():
-        _tile(entries, _action_block(A, env), i * a2, j * a2)
-    matrix = SparseMatrix((n + 1) * a2, n * a2, entries, A.field)
-    A._cache[key] = matrix
-    return matrix
+
+    def build():
+        a2 = A.dim
+        entries = {}
+        for (j, i), env in differential(A, n, preferred_variant(A)).entries.items():
+            _tile(entries, _action_block(A, env), i * a2, j * a2)
+        return SparseMatrix((n + 1) * a2, n * a2, entries, A.field)
+
+    return A.cached(("homdiff", n), build)
 
 
 def hh_dimension_ext(A: QuantumCompleteIntersection, n: int) -> int:
@@ -150,11 +146,7 @@ def hh_dimension_ext(A: QuantumCompleteIntersection, n: int) -> int:
 
 def _geometric_sums(A: QuantumCompleteIntersection) -> list:
     """The geometric sums K(m), m <= a + 1, computed once per context."""
-    K = A._cache.get("ksums")
-    if K is None:
-        K = [k_sum(A.a, A.q_power(m)) for m in range(A.a + 2)]
-        A._cache["ksums"] = K
-    return K
+    return A.cached("ksums", lambda: [k_sum(A.a, A.q_power(m)) for m in range(A.a + 2)])
 
 
 def _delta_block(A: QuantumCompleteIntersection, n: int, i: int, sub: bool) -> dict:
@@ -166,36 +158,35 @@ def _delta_block(A: QuantumCompleteIntersection, n: int, i: int, sub: bool) -> d
     like gamma_x for even i and like tau_x for odd i.
     """
     n_odd, i_odd = n % 2, i % 2
-    key = ("delta-block", n_odd, i_odd, sub)
-    block = A._cache.get(key)
-    if block is not None:
+
+    def build():
+        a = A.a
+        qp = A.q_power
+        one = A.field.one()
+        K = _geometric_sums(A)
+        block = {}
+
+        def put(mono, col, scalar):
+            add_term(block, (A.mono_index(mono), col), scalar)
+
+        for u in range(a):
+            for v in range(a):
+                col = A.mono_index((u, v))
+                if not sub:
+                    if n_odd == i_odd:
+                        if u == 0:
+                            put((a - 1, v), col, qp(1) * K[v + 1 + n_odd])
+                    elif u + 1 < a:
+                        weight = qp(a - 1) - qp(v) if n_odd else qp(v + 1) - qp(a - 1)
+                        put((u + 1, v), col, weight)
+                elif not i_odd:
+                    if v == 0:
+                        put((u, a - 1), col, K[u + 1 + n_odd])
+                elif v + 1 < a:
+                    put((u, v + 1), col, qp(u + 2 - n_odd) - one)
         return block
-    a = A.a
-    qp = A.q_power
-    one = A.field.one()
-    K = _geometric_sums(A)
-    block = {}
 
-    def put(mono, col, scalar):
-        add_term(block, (A.mono_index(mono), col), scalar)
-
-    for u in range(a):
-        for v in range(a):
-            col = A.mono_index((u, v))
-            if not sub:
-                if n_odd == i_odd:
-                    if u == 0:
-                        put((a - 1, v), col, qp(1) * K[v + 1 + n_odd])
-                elif u + 1 < a:
-                    weight = qp(a - 1) - qp(v) if n_odd else qp(v + 1) - qp(a - 1)
-                    put((u + 1, v), col, weight)
-            elif not i_odd:
-                if v == 0:
-                    put((u, a - 1), col, K[u + 1 + n_odd])
-            elif v + 1 < a:
-                put((u, v + 1), col, qp(u + 2 - n_odd) - one)
-    A._cache[key] = block
-    return block
+    return A.cached(("delta-block", n_odd, i_odd, sub), build)
 
 
 def delta_matrix(A: QuantumCompleteIntersection, n: int) -> SparseMatrix:
@@ -210,20 +201,18 @@ def delta_matrix(A: QuantumCompleteIntersection, n: int) -> SparseMatrix:
     """
     if n < 1:
         raise ValueError("delta differentials start in degree 1")
-    key = ("delta", n)
-    cached = A._cache.get(key)
-    if cached is not None:
-        return cached
-    a2 = A.dim
-    entries = {}
-    for i in range(n + 1):
-        if i <= n - 1:
-            _tile(entries, _delta_block(A, n, i, sub=False), i * a2, i * a2)
-        if i >= 1:
-            _tile(entries, _delta_block(A, n, i, sub=True), (i - 1) * a2, i * a2)
-    matrix = SparseMatrix(n * a2, (n + 1) * a2, entries, A.field)
-    A._cache[key] = matrix
-    return matrix
+
+    def build():
+        a2 = A.dim
+        entries = {}
+        for i in range(n + 1):
+            if i <= n - 1:
+                _tile(entries, _delta_block(A, n, i, sub=False), i * a2, i * a2)
+            if i >= 1:
+                _tile(entries, _delta_block(A, n, i, sub=True), (i - 1) * a2, i * a2)
+        return SparseMatrix(n * a2, (n + 1) * a2, entries, A.field)
+
+    return A.cached(("delta", n), build)
 
 
 def hh_dimension_tor(A: QuantumCompleteIntersection, n: int) -> int:
@@ -267,50 +256,48 @@ def _named_basis(A, degree):
     check its rank and keeps the factorization that every express in this
     degree solves with.
     """
-    key = ("stdbasis", degree)
-    cached = A._cache.get(key)
-    if cached is not None:
-        return cached
 
-    hom_next = hom_differential(A, degree + 1)
-    classes = []
-    entries = {}
-    for label, index, value in _standard_values(A, degree):
-        values = [A.zero()] * (degree + 1)
-        values[index] = value
-        cochain = Cochain(A, degree, values)
-        vec = cochain.to_vector()
-        if hom_next.apply(vec):
-            raise BasisError(f"{label} in degree {degree} is not a cocycle")
-        for row, c in vec.items():
-            entries[(row, len(classes))] = c
-        classes.append(CohomologyClass(degree=degree, representative=cochain, label=label))
+    def build():
+        hom_next = hom_differential(A, degree + 1)
+        classes = []
+        entries = {}
+        for label, index, value in _standard_values(A, degree):
+            values = [A.zero()] * (degree + 1)
+            values[index] = value
+            cochain = Cochain(A, degree, values)
+            vec = cochain.to_vector()
+            if hom_next.apply(vec):
+                raise BasisError(f"{label} in degree {degree} is not a cocycle")
+            for row, c in vec.items():
+                entries[(row, len(classes))] = c
+            classes.append(CohomologyClass(degree=degree, representative=cochain, label=label))
 
-    ncols = len(classes)
-    image_rank = 0
-    if degree >= 2:
-        hom_prev = hom_differential(A, degree)
-        for (row, col), c in hom_prev.entries.items():
-            entries[(row, ncols + col)] = c
-        ncols += hom_prev.cols
-        image_rank = hom_prev.rank()
-    solver = SparseMatrix((degree + 1) * A.dim, ncols, entries, A.field)
+        ncols = len(classes)
+        image_rank = 0
+        if degree >= 2:
+            hom_prev = hom_differential(A, degree)
+            for (row, col), c in hom_prev.entries.items():
+                entries[(row, ncols + col)] = c
+            ncols += hom_prev.cols
+            image_rank = hom_prev.rank()
+        solver = SparseMatrix((degree + 1) * A.dim, ncols, entries, A.field)
 
-    expected = 2 * degree + 2
-    span = solver.rank() - image_rank
-    if span != expected:
-        raise BasisError(
-            f"degree {degree}: classes span {span} directions "
-            f"modulo coboundaries, expected {expected}"
-        )
-    dim = hh_dimension_ext(A, degree)
-    if dim != expected:
-        raise BasisError(
-            f"degree {degree}: cohomology has dimension {dim}, "
-            f"so {expected} classes cannot span it"
-        )
-    A._cache[key] = classes, solver
-    return classes, solver
+        expected = 2 * degree + 2
+        span = solver.rank() - image_rank
+        if span != expected:
+            raise BasisError(
+                f"degree {degree}: classes span {span} directions "
+                f"modulo coboundaries, expected {expected}"
+            )
+        dim = hh_dimension_ext(A, degree)
+        if dim != expected:
+            raise BasisError(
+                f"degree {degree}: cohomology has dimension {dim}, "
+                f"so {expected} classes cannot span it"
+            )
+        return classes, solver
+
+    return A.cached(("stdbasis", degree), build)
 
 
 def standard_basis(A: QuantumCompleteIntersection, degree: int) -> list:

@@ -14,6 +14,7 @@ package produces.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import chain
 from operator import itemgetter
 
@@ -178,10 +179,6 @@ class SparseMatrix:
         self.cols = cols
         self.entries = {k: v for k, v in entries.items() if v}
         self.field = field
-        self._rank_cache = None
-        self._rref_cache = None
-        self._factor_cache = None
-        self._col_cache = None
 
     @classmethod
     def from_dense(cls, data, field):
@@ -209,20 +206,22 @@ class SparseMatrix:
             out[j][i] = v
         return out
 
-    def _rref(self):
-        if self._rref_cache is None:
-            self._rref_cache = _rref(self.row_dicts(), self.cols)
-        return self._rref_cache
+    @cached_property
+    def _reduced(self):
+        """(pivot columns, pivot rows) of the canonical RREF."""
+        return _rref(self.row_dicts(), self.cols)
+
+    @cached_property
+    def _rank(self) -> int:
+        return len(_rref(self.row_dicts(), self.cols, reduced=False)[0])
 
     def rank(self) -> int:
         """Forward elimination only: no normalising, no back-substitution."""
-        if self._rank_cache is None:
-            self._rank_cache = len(_rref(self.row_dicts(), self.cols, reduced=False)[0])
-        return self._rank_cache
+        return self._rank
 
     def kernel_basis(self) -> Subspace:
         """Canonical basis of the right null space; dim = cols - rank."""
-        pivots, rows = self._rref()
+        pivots, rows = self._reduced
         pivot_set = set(pivots)
         vectors = []
         for free in range(self.cols):
@@ -246,18 +245,15 @@ class SparseMatrix:
         for j, x in vec.items():
             if not x:
                 continue
-            for i, v in self._columns_of(j):
+            for i, v in self._columns[j].items():
                 add_term(out, i, v * x)
         return out
 
-    def _columns_of(self, j):
-        if self._col_cache is None:
-            cache = [[] for _ in range(self.cols)]
-            for (i, jj), v in self.entries.items():
-                cache[jj].append((i, v))
-            self._col_cache = cache
-        return self._col_cache[j]
+    @cached_property
+    def _columns(self):
+        return self.column_dicts()
 
+    @cached_property
     def _factor(self):
         """Row operations E with E M in RREF, from one reduction of [M | I].
 
@@ -265,22 +261,17 @@ class SparseMatrix:
         E M, or None when that row of E is a left null vector of M; by_input[i]
         lists the nonzero entries (k, E[k][i]) of column i of E.
         """
-        if self._factor_cache is None:
-            one = self.field.one()
-            aug = self.row_dicts()
-            for i, row in enumerate(aug):
-                row[self.cols + i] = one
-            pivots, rows = _rref(aug, self.cols + self.rows)
-            by_input = [[] for _ in range(self.rows)]
-            for k, row in enumerate(rows):
-                for c, v in row.items():
-                    if c >= self.cols:
-                        by_input[c - self.cols].append((k, v))
-            self._factor_cache = (
-                [col if col < self.cols else None for col in pivots],
-                by_input,
-            )
-        return self._factor_cache
+        one = self.field.one()
+        aug = self.row_dicts()
+        for i, row in enumerate(aug):
+            row[self.cols + i] = one
+        pivots, rows = _rref(aug, self.cols + self.rows)
+        by_input = [[] for _ in range(self.rows)]
+        for k, row in enumerate(rows):
+            for c, v in row.items():
+                if c >= self.cols:
+                    by_input[c - self.cols].append((k, v))
+        return [col if col < self.cols else None for col in pivots], by_input
 
     def solve(self, b):
         """Some x with M x = b (free variables zero), or None if inconsistent.
@@ -289,7 +280,7 @@ class SparseMatrix:
         row operations to b.  x is the unique solution whose free variables
         are zero, so it equals what reducing [M | b] would give.
         """
-        pivots, by_input = self._factor()
+        pivots, by_input = self._factor
         acc = {}
         for i, v in b.items():
             if not 0 <= i < self.rows:

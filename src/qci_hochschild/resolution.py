@@ -220,25 +220,23 @@ def differential(A: QuantumCompleteIntersection, n: int, variant: str = GENERAL)
         raise VariantError("simplified-a3plus requires a >= 3")
     if variant not in (GENERAL, SIMPLIFIED_A2, SIMPLIFIED_A3):
         raise VariantError(f"unknown variant {variant!r}")
-    key = ("diff", n, variant)
-    cached = A._cache.get(key)
-    if cached is not None:
-        return cached
-    build = {
-        GENERAL: _general_column,
-        SIMPLIFIED_A2: _simplified_a2_column,
-        SIMPLIFIED_A3: _simplified_a3_column,
-    }[variant]
-    entries = {}
-    for i in range(n + 1):
-        diag, sub = build(A, n, i)
-        if i <= n - 1 and diag:
-            entries[(i, i)] = diag
-        if i - 1 >= 0 and sub:
-            entries[(i - 1, i)] = sub
-    dm = DifferentialMatrix(A, n, variant, entries)
-    A._cache[key] = dm
-    return dm
+
+    def build():
+        column = {
+            GENERAL: _general_column,
+            SIMPLIFIED_A2: _simplified_a2_column,
+            SIMPLIFIED_A3: _simplified_a3_column,
+        }[variant]
+        entries = {}
+        for i in range(n + 1):
+            diag, sub = column(A, n, i)
+            if i <= n - 1 and diag:
+                entries[(i, i)] = diag
+            if i - 1 >= 0 and sub:
+                entries[(i - 1, i)] = sub
+        return DifferentialMatrix(A, n, variant, entries)
+
+    return A.cached(("diff", n, variant), build)
 
 
 def preferred_variant(A: QuantumCompleteIntersection) -> str:
@@ -252,9 +250,6 @@ class Augmentation:
 
     def __init__(self, algebra):
         self.algebra = algebra
-
-    def __call__(self, coefficient):
-        return coefficient.act(self.algebra.one())
 
     def as_linear_matrix(self) -> SparseMatrix:
         A = self.algebra
@@ -274,18 +269,35 @@ def augmentation(A: QuantumCompleteIntersection) -> Augmentation:
     return Augmentation(A)
 
 
-def compose(outer: DifferentialMatrix, inner: DifferentialMatrix):
-    """Entries of d_(n-1) . d_n, as a dict (k, i) -> EnvElement.
+def compose(outer: dict, inner: dict) -> dict:
+    """Entries {(k, i): EnvElement} of the module map outer . inner.
 
-    Module-map composition: the coefficient picked up in degree n multiplies
-    the outer differential's coefficient from the left.
+    Both maps are entry dicts {(row, col): EnvElement}: entry (j, i) sends
+    generator i to that coefficient times generator j.  The coefficient
+    picked up by the inner map multiplies the outer one from the left.
+    Entries that sum to zero are dropped, so the composite is zero exactly
+    when the dict is empty.
     """
-    A = outer.algebra
+    by_col = {}
+    for (k, j), env in outer.items():
+        by_col.setdefault(j, []).append((k, env))
     out = {}
-    for i in range(inner.degree + 1):
-        for j, e_inner in inner.column(i):
-            for k, e_outer in outer.column(j):
-                add_term(out, (k, i), e_inner * e_outer)
+    for (j, i), e_inner in inner.items():
+        for k, e_outer in by_col.get(j, ()):
+            add_term(out, (k, i), e_inner * e_outer)
+    return out
+
+
+def pull_back(values, entries: dict, size: int) -> list:
+    """Values on size generators of a cochain composed with a module map.
+
+    values[j] is the cochain's value on generator j of the map's target, and
+    entries is the map as a dict {(j, i): EnvElement}; the composite takes
+    the value sum_j entry(j, i) . values[j] on generator i.
+    """
+    out = [values[0].algebra.zero()] * size
+    for (j, i), env in entries.items():
+        out[i] = out[i] + env.act(values[j])
     return out
 
 
@@ -338,18 +350,15 @@ def verify_resolution(
     shape_ok = all(d.two_band_ok() for d in diffs.values())
     report.record("two-band shape", shape_ok)
 
-    mu = augmentation(A)
-    mu_d1 = [mu(env) for _, env in diffs[1].column(0)] + [
-        mu(env) for _, env in diffs[1].column(1)
-    ]
+    mu_d1 = pull_back([A.one()], diffs[1].entries, 2)
     report.record(
         "augmentation composes to zero",
-        all(not v for v in mu_d1),
+        not any(mu_d1),
         "mu . d_1 != 0" if any(mu_d1) else "",
     )
 
     for n in range(2, n_max + 1):
-        leftover = compose(diffs[n - 1], diffs[n])
+        leftover = compose(diffs[n - 1].entries, diffs[n].entries)
         if leftover:
             key = sorted(leftover)[0]
             report.record(
@@ -374,8 +383,7 @@ def verify_resolution(
         report.record("simplified variant agrees with general form", agree, witness)
 
     if exactness_max >= 1:
-        mu_matrix = mu.as_linear_matrix()
-        mu_rank = mu_matrix.rank()
+        mu_rank = augmentation(A).as_linear_matrix().rank()
         ker_mu = A.dim * A.dim - mu_rank
         ranks = {}
         for n in range(1, min(exactness_max + 1, n_max) + 1):

@@ -426,6 +426,13 @@ class RationalField(CyclotomicField):
             )
         super().__init__(root_order)
 
+    def scalar_from_text(self, text: str):
+        """Inverse of scalar_to_text, which writes no term in z."""
+        for part in text.strip().split(" + "):
+            if "z" in part:
+                raise ValueError(f"malformed term {part!r} in {text.strip()!r}")
+        return super().scalar_from_text(text)
+
     def describe(self) -> str:
         return "rational"
 

@@ -13,6 +13,12 @@ elements:
 and 1 everywhere else.  At a = 2 the same rule holds with the factors
 1, -1, -1: the bare convolution with an alternating sign in odd levels.
 
+verify_lifting checks each square d_s h_s = h_(s-1) d_(2t+s) as an equality
+of two module maps, both sides built by resolution.compose, and the base
+triangle by pulling the augmentation back along h_0 with resolution.pull_back;
+yoneda_product pulls the first factor back along the top map the same way.
+A failing square names its first mismatch in (column, target) order.
+
 Note on eps_x: the commuting-square conditions pin it to -beta_x(0); with
 -beta_x(1) in its place the odd-level squares fail, which verify_lifting
 demonstrates directly.  The thirteen product identities in relations_check
@@ -38,8 +44,10 @@ from .resolution import (
     CheckReport,
     OrderError,
     beta_element,
+    compose,
     differential,
     preferred_variant,
+    pull_back,
     structure_element,
 )
 from .scalars import c_sequence
@@ -62,9 +70,6 @@ class LiftingFamily:
         self.values = list(values)
         self.s_max = s_max
         self.maps = maps  # s -> dict (j, i) -> EnvElement
-
-    def entry(self, s, j, i):
-        return self.maps[s].get((j, i))
 
 
 def _scalar_value(p):
@@ -91,9 +96,8 @@ def _correction_factors(A: QuantumCompleteIntersection) -> dict:
     1, -1, -1; beta_element keeps its OrderError there, so they are spelled
     out.
     """
-    key = ("lifting factors",)
-    factors = A._cache.get(key)
-    if factors is None:
+
+    def build():
         one = A.env_one()
         if A.a < 3:
             omega_plus, eps_x, eps_y = one, -one, -one
@@ -101,9 +105,9 @@ def _correction_factors(A: QuantumCompleteIntersection) -> dict:
             omega_plus = beta_element(A, "x", -1) * beta_element(A, "y", 1)
             eps_x = -beta_element(A, "x", 0)
             eps_y = -beta_element(A, "y", 0)
-        factors = {(0, 0, 1): omega_plus, (1, 0, 1): eps_x, (1, 1, 0): eps_y}
-        A._cache[key] = factors
-    return factors
+        return {(0, 0, 1): omega_plus, (1, 0, 1): eps_x, (1, 1, 0): eps_y}
+
+    return A.cached(("lifting factors",), build)
 
 
 def _lifting_level(A, vals, s, factors) -> dict:
@@ -149,45 +153,26 @@ def verify_lifting(family: LiftingFamily) -> CheckReport:
     variant = preferred_variant(A)
     report = CheckReport()
 
-    base_ok = True
-    for i in range(family.degree + 1):
-        env = family.entry(0, 0, i)
-        got = env.act(A.one()) if env is not None else A.zero()
-        want = A.one().scale(family.values[i])
-        if got != want:
-            base_ok = False
-            break
-    report.record("h_0 recovers the cochain through the augmentation", base_ok)
+    # mu . h_0 pulls the augmentation's cochain, 1 on f^0_0, back along h_0
+    recovered = pull_back([A.one()], family.maps[0], family.degree + 1)
+    report.record(
+        "h_0 recovers the cochain through the augmentation",
+        recovered == [A.one().scale(p) for p in family.values],
+    )
 
     for s in range(1, family.s_max + 1):
-        d_s = differential(A, s, variant)
-        d_top = differential(A, family.degree + s, variant)
-        ok = True
+        lhs = compose(differential(A, s, variant).entries, family.maps[s])
+        rhs = compose(family.maps[s - 1], differential(A, family.degree + s, variant).entries)
+        bad = [(i, k) for k, i in lhs.keys() | rhs.keys() if lhs.get((k, i)) != rhs.get((k, i))]
         witness = ""
-        for i in range(family.degree + s + 1):
-            for k in range(s):
-                lhs = A.env_zero()
-                for j in (k, k + 1):
-                    h = family.entry(s, j, i)
-                    d = d_s.entry(k, j)
-                    if h is not None and d is not None:
-                        lhs = lhs + h * d
-                rhs = A.env_zero()
-                for m in (i - 1, i):
-                    d = d_top.entry(m, i)
-                    h = family.entry(s - 1, k, m)
-                    if d is not None and h is not None:
-                        rhs = rhs + d * h
-                if lhs != rhs:
-                    ok = False
-                    witness = (
-                        f"s={s}, column {i}, target {k}: "
-                        f"{env_to_text(lhs)} versus {env_to_text(rhs)}"
-                    )
-                    break
-            if not ok:
-                break
-        report.record(f"square at s={s}", ok, witness)
+        if bad:  # name the first mismatch in (column i, target k) order
+            i, k = min(bad)
+            got, want = (side.get((k, i), A.env_zero()) for side in (lhs, rhs))
+            witness = (
+                f"s={s}, column {i}, target {k}: "
+                f"{env_to_text(got)} versus {env_to_text(want)}"
+            )
+        report.record(f"square at s={s}", not bad, witness)
     return report
 
 
@@ -205,10 +190,7 @@ def yoneda_product(
     two_t = xi.degree
     vals = _lifted_values(xi.representative.values)
     top = _lifting_level(A, vals, two_m, _correction_factors(A))
-    out_values = [A.zero() for _ in range(two_t + two_m + 1)]
-    chi_values = chi.representative.values
-    for (j, i), env in top.items():
-        out_values[i] = out_values[i] + env.act(chi_values[j])
+    out_values = pull_back(chi.representative.values, top, two_t + two_m + 1)
     product = Cochain(A, two_t + two_m, out_values)
     basis = standard_basis(A, two_t + two_m)
     expressed = express(A, product)

@@ -111,6 +111,22 @@ def test_multiply_associative_exhaustive(a):
         assert (p * q) * r == p * (q * r)
 
 
+def test_context_memo_builds_once_and_stores_no_failed_build():
+    A = make(3)
+    calls = []
+
+    def failing():
+        calls.append("fail")
+        raise ArithmeticError("build failed")
+
+    with pytest.raises(ArithmeticError):
+        A.cached(("probe",), failing)
+    assert ("probe",) not in A._cache
+    built = A.cached(("probe",), lambda: calls.append("build") or [1])
+    assert A.cached(("probe",), lambda: calls.append("again")) is built
+    assert calls == ["fail", "build"]  # the next call after a failure builds again
+
+
 def test_mixed_context_rejected():
     A = make(3)
     B = make(3, backend="prime")
@@ -382,6 +398,9 @@ MALFORMED_ELEMENT_TERMS = [
     ("cyclotomic", "1 * y^0 x^0 (x) y^0 x^0", "is not 'c * y^u x^v'"),
     ("cyclotomic", "2 * y^1 x^1", "repeats an earlier monomial"),  # used to keep only the last
     ("rational", "1/0 * y^0 x^0", "malformed coefficient"),  # used to raise ZeroDivisionError
+    ("rational", "(1*z) * y^0 x^0", "malformed coefficient"),  # used to parse as -1
+    ("rational", "1*z * y^0 x^0", "malformed coefficient"),
+    ("rational", "(1 + 1*z^2) * y^0 x^0", "malformed coefficient"),  # used to parse as 2
     ("prime", "1/2 * y^0 x^0", "malformed coefficient"),
 ]
 

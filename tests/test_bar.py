@@ -296,6 +296,42 @@ def test_cup_span_of_degree2_basis_inside_degree4():
     assert span >= 5
 
 
+def column_order_reducer(B, n):
+    """The image of the coboundary into degree n, its columns added in column order."""
+    diff = B.bar_differential(n - 1)
+    cols = [{} for _ in range(diff.ncols)]
+    for i, row in enumerate(diff.rows):
+        for col, val in row.items():
+            cols[col][i] = val
+    out = _Echelon(diff.nrows, B.p)
+    for col in cols:
+        out.add(col)
+    return out, cols
+
+
+@pytest.mark.parametrize("a, n", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2)])
+def test_coboundary_reducer_matches_column_order(a, n):
+    # the reducer adds the image's spanning vectors shortest first; the span,
+    # so its rank and which vectors it holds, is the column-order one
+    B = BarComplex(a)
+    reducer = B.coboundary_reducer(n)
+    reference, cols = column_order_reducer(B, n)
+    assert reducer.rank == reference.rank == B.bar_differential(n - 1).rank()
+    rng = random.Random(a * 10 + n)
+    probes = [dict(enumerate(vec)) for vec in B.cocycle_basis(n)]
+    for _ in range(5):  # random sparse vectors
+        probes.append({c: rng.randrange(1, B.p) for c in rng.sample(range(B.cochain_dim(n)), 5)})
+    for _ in range(5):  # random coboundaries
+        total = {}
+        for col in rng.sample(cols, 3):
+            for i, v in col.items():
+                total[i] = (total.get(i, 0) + rng.randrange(1, B.p) * v) % B.p
+        probes.append(total)
+    found = [not reducer.residue(vec) for vec in probes]
+    assert found == [not reference.residue(vec) for vec in probes]
+    assert any(found) and not all(found)
+
+
 def test_row_reducer_against_exact_rank():
     # the oracle's elimination agrees with the primary routes' sparse rank
     rng = random.Random(31)

@@ -118,3 +118,13 @@ def test_no_floating_point_outside_the_oracle(name):
 def test_float_reader_sees_planted_float64():
     planted = "import numpy as np\nv = np.zeros(3, dtype=np.float64)\nw = v.astype('float32')\n"
     assert float_names(planted) == {"numpy", "np", "float64", "float32"}
+
+
+def attribute_names(name):
+    """Every attribute name that module `name` reads or writes, as in `obj.attr`."""
+    return {node.attr for node in walk(name) if isinstance(node, ast.Attribute)}
+
+
+def test_only_the_algebra_touches_the_context_memo():
+    # every per-context build goes through QuantumCompleteIntersection.cached
+    assert {name for name in MODULES if "_cache" in attribute_names(name)} == {"algebra"}

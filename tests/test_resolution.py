@@ -2,6 +2,7 @@
 import pytest
 
 from qci_hochschild.algebra import QuantumCompleteIntersection, env_to_text
+from qci_hochschild.cohomology import Cochain, hom_differential
 from qci_hochschild.resolution import (
     GAMMA_X,
     GAMMA_Y,
@@ -17,6 +18,7 @@ from qci_hochschild.resolution import (
     beta_element,
     compose,
     differential,
+    pull_back,
     structure_element,
     verify_resolution,
 )
@@ -97,7 +99,7 @@ def test_degree_one_columns():
         d1 = differential(A, 1)
         assert d1.entry(0, 0) == structure_element(A, TAU_Y, 0)
         assert d1.entry(0, 1) == structure_element(A, TAU_X, 0)
-        assert not compose(d1, differential(A, 2))
+        assert not compose(d1.entries, differential(A, 2).entries)
 
 
 def test_a2_sign_pattern():
@@ -173,7 +175,7 @@ def test_general_arguments_reduce_to_zero_or_one():
 def test_complex_property(a):
     A = make(a)
     for n in range(2, 13):
-        assert not compose(differential(A, n - 1), differential(A, n)), (a, n)
+        assert not compose(differential(A, n - 1).entries, differential(A, n).entries), (a, n)
 
 
 def test_complex_property_generic_q():
@@ -182,7 +184,21 @@ def test_complex_property_generic_q():
     A = QuantumCompleteIntersection(3, R, q=R.from_int(2))
     assert not A.is_root_of_unity
     for n in range(2, 8):
-        assert not compose(differential(A, n - 1), differential(A, n))
+        assert not compose(differential(A, n - 1).entries, differential(A, n).entries)
+
+
+def test_compose_and_pull_back_with_identity_maps():
+    # the identity of P_n is the map with env_one on the diagonal
+    A = make(3)
+    d = differential(A, 3).entries
+    identity = {(i, i): A.env_one() for i in range(4)}
+    assert compose(d, identity) == d == compose({(k, k): A.env_one() for k in range(3)}, d)
+    values = [A.x(), A.y(), A.one()]
+    assert pull_back(values, {(j, j): A.env_one() for j in range(3)}, 3) == values
+    # pulling a cochain back along d_3 is applying the transpose differential
+    pulled = Cochain(A, 3, pull_back(values, d, 4))
+    assert pulled.to_vector() == hom_differential(A, 3).apply(Cochain(A, 2, values).to_vector())
+    assert pull_back([A.one()], differential(A, 1).entries, 2) == [A.zero(), A.zero()]
 
 
 def test_two_band_shape_and_minimality():
@@ -197,13 +213,13 @@ def test_two_band_shape_and_minimality():
 # -- augmentation -----------------------------------------------------------------
 
 def test_augmentation_values():
+    # the augmentation sends e f^0_0 to e . 1
     A = make(3)
-    mu = augmentation(A)
-    assert mu(A.env_one()) == A.one()
-    assert mu(A.env_tensor((0, 1), (0, 0))) == A.x()
+    assert A.env_one().act(A.one()) == A.one()
+    assert A.env_tensor((0, 1), (0, 0)).act(A.one()) == A.x()
     d1 = differential(A, 1)
-    assert not mu(d1.entry(0, 0))
-    assert not mu(d1.entry(0, 1))
+    assert not d1.entry(0, 0).act(A.one())
+    assert not d1.entry(0, 1).act(A.one())
 
 
 def test_augmentation_linear_matrix():

@@ -487,6 +487,14 @@ def test_rational_backend_is_q_as_a_cyclotomic_field():
         rational_field(2).one() + cyclotomic_field(2).one()
 
 
+@pytest.mark.parametrize("order", (1, 2))
+@pytest.mark.parametrize("text, term", [("1*z", "1*z"), ("1 + -1/2*z^3", "-1/2*z^3"), ("z", "z")])
+def test_rational_text_rejects_terms_in_z(order, text, term):
+    # the rational backend writes no z, so a term in z is malformed, not -1
+    with pytest.raises(ValueError, match=re.escape(f"malformed term {term!r}")):
+        rational_field(order).scalar_from_text(text)
+
+
 @pytest.mark.parametrize("text", ["1/2", "abc", ""])
 def test_prime_text_rejects_malformed_terms(text):
     with pytest.raises(ValueError, match=re.escape(f"malformed term {text!r}")):

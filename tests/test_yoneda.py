@@ -129,7 +129,7 @@ def test_lifting_of_identity_class_a2():
     family = build_lifting(A, unit_values(A, 0, 0), 4)
     for s in range(5):
         for i in range(s + 1):
-            assert family.entry(s, i, i) is not None
+            assert family.maps[s].get((i, i)) is not None
     assert verify_lifting(family).ok
 
 
@@ -140,9 +140,9 @@ def test_lifting_formula_even_level():
     vals = unit_values(A, 2, 1)
     family = build_lifting(A, vals, 2)
     omega = beta_element(A, "x", -1) * beta_element(A, "y", 1)
-    assert family.entry(2, 1, 2) == omega  # i = 2 even, j = 1 odd, p_(i-j) = 1
-    assert family.entry(2, 0, 1) == A.env_one()  # i = 1 odd: no factor
-    assert family.entry(2, 2, 3) == A.env_one()  # i odd
+    assert family.maps[2].get((1, 2)) == omega  # i = 2 even, j = 1 odd, p_(i-j) = 1
+    assert family.maps[2].get((0, 1)) == A.env_one()  # i = 1 odd: no factor
+    assert family.maps[2].get((2, 3)) == A.env_one()  # i odd
 
 
 @pytest.mark.parametrize("a", (2, 3, 4))
