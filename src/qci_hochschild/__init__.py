@@ -19,10 +19,8 @@ from .algebra import (
     element_from_text,
     element_to_text,
     env_from_text,
-    env_to_text,
     frobenius_verify,
     nakayama_twist,
-    radical_membership,
     trace_form,
 )
 from .bar import BarCochain, BarComplex, SizeError
@@ -42,10 +40,8 @@ from .cohomology import (
 )
 from .linalg import NotContainedError, SparseMatrix, Subspace, coset_basis
 from .resolution import (
-    DifferentialMatrix,
     OrderError,
     VariantError,
-    augmentation,
     beta_element,
     differential,
     structure_element,
@@ -59,7 +55,6 @@ from .scalars import (
     k_sum,
     prime_field,
     prime_field_for,
-    primitive_root,
     rational_field,
     smallest_prime_modulus,
 )

@@ -4,7 +4,9 @@ Elements are kept in the normal form y^u x^v (0 <= u, v < a), with the
 commutation x*y = q*(y*x) applied during multiplication.  Tensors m1 (x) m2
 live in A (x) A^op: left components multiply in A, right components in the
 opposite order.  A acts as a left module over the enveloping algebra by
-(m1 (x) m2) . m = m1 * m * m2.
+(m1 (x) m2) . m = m1 * m * m2.  The k-linear matrices of the package are
+tiled from per-context blocks of this action and of right multiplication in
+A (x) A^op, one block per element value.
 
 All element values are immutable once built; operations return new objects.
 """
@@ -150,6 +152,39 @@ class QuantumCompleteIntersection:
             return None
         return (first[0] * second[0], second[1])
 
+    # -- per-context blocks of k-linear maps ------------------------------------
+
+    def _block(self, kind, env, basis, op, index) -> dict:
+        """{(row, col): c} of the map sending basis[col] to sum_t c_t op(basis[col], t).
+
+        The sum runs over the terms c_t t of env; op returns (scalar, key) or
+        None, and the row is index(key).  Built once per context and kind,
+        keyed by env's value, so equal band elements of different degrees or
+        columns share one block.
+        """
+
+        def build():
+            block = {}
+            for col, b in enumerate(basis):
+                for t, c in env.terms.items():
+                    hit = op(b, t)
+                    if hit is not None:
+                        add_term(block, (index(hit[1]), col), c * hit[0])
+            return block
+
+        return self.cached((kind, frozenset(env.terms.items())), build)
+
+    def action_block(self, env) -> dict:
+        """m -> env . m on the monomial basis of A."""
+        return self._block(
+            "action", env, self.monomials(), lambda m, t: self.act_mono(t, m), self.mono_index
+        )
+
+    def product_block(self, env) -> dict:
+        """w -> w env on the basis tensors of A (x) A^op, in env_index order."""
+        tensors = ((m1, m2) for m1 in self.monomials() for m2 in self.monomials())
+        return self._block("product", env, tensors, self.env_mono_mul, self.env_index)
+
     # -- identity and bookkeeping ----------------------------------------------
 
     def same_context(self, other) -> bool:
@@ -170,10 +205,6 @@ class QuantumCompleteIntersection:
 
     def env_index(self, t) -> int:
         return self.mono_index(t[0]) * self.dim + self.mono_index(t[1])
-
-    def env_from_index(self, i):
-        hi, lo = divmod(i, self.dim)
-        return (self.mono_from_index(hi), self.mono_from_index(lo))
 
     def describe(self) -> str:
         return f"a={self.a}, {self.field.describe()}"
@@ -299,26 +330,18 @@ class EnvElement(_Combination):
 
 
 def center_basis(A: QuantumCompleteIntersection) -> list:
-    """Canonical basis of the centre, by solving zg = gz for g in {x, y}."""
-    a2 = A.dim
-    entries = {}
-    for block, gen in enumerate((A.x(), A.y())):
-        for m in A.monomials():
-            col = A.mono_index(m)
-            z = A.monomial(*m)
-            diff = z * gen - gen * z
-            for mono, c in diff.terms.items():
-                entries[(block * a2 + A.mono_index(mono), col)] = c
-    matrix = SparseMatrix(2 * a2, a2, entries, A.field)
-    kernel = matrix.kernel_basis()
-    out = []
-    for vec in kernel.basis:
-        out.append(A.element({A.mono_from_index(i): c for i, c in vec.items()}))
-    return out
+    """Canonical basis of the centre, by solving zg = gz for g in {x, y}.
 
-
-def radical_membership(element: AlgebraElement) -> bool:
-    return element.in_radical()
+    z -> zg - gz is the action of 1 (x) g - g (x) 1, so the centre is the
+    kernel of the two action blocks stacked.
+    """
+    one = A.field.one()
+    tiles = []
+    for k, g in enumerate(((0, 1), (1, 0))):
+        commutator = A.env({((0, 0), g): one, (g, (0, 0)): -one})
+        tiles.append((k * A.dim, 0, A.action_block(commutator)))
+    kernel = SparseMatrix.tiled(2 * A.dim, A.dim, tiles, A.field).kernel_basis()
+    return [A.element({A.mono_from_index(i): c for i, c in vec.items()}) for vec in kernel.basis]
 
 
 @dataclass
@@ -333,13 +356,6 @@ class FrobeniusData:
     @property
     def convention(self) -> str:
         return "first" if self.first_identity_holds else "second"
-
-    def trace(self, element: AlgebraElement):
-        """The form the conventions are stated for: the top socle coefficient."""
-        return trace_form(element.algebra, element)
-
-    def twist(self, element: AlgebraElement) -> AlgebraElement:
-        return nakayama_twist(element.algebra, element)
 
 
 def nakayama_twist(A: QuantumCompleteIntersection, element: AlgebraElement):
@@ -443,9 +459,6 @@ def element_to_text(element) -> str:
         monos = " (x) ".join(f"y^{u} x^{v}" for u, v in _legs(key))
         parts.append(f"{_scalar_text(field, c)} * {monos}")
     return " + ".join(parts) if parts else "0"
-
-
-env_to_text = element_to_text
 
 
 def _from_text(cls, A: QuantumCompleteIntersection, text: str):

@@ -14,10 +14,10 @@ import os
 import sys
 
 from . import __version__
-from .algebra import QuantumCompleteIntersection, element_to_text, env_to_text
+from .algebra import QuantumCompleteIntersection, element_to_text
 from .bar import DEFAULT_SIZE_CAP, BarComplex, SizeError
 from .cohomology import BasisError, NotCocycleError, dimension_table, standard_basis
-from .resolution import GENERAL, differential, preferred_variant
+from .resolution import GENERAL, SIMPLIFIED_A2, SIMPLIFIED_A3, differential, preferred_variant
 from .scalars import (
     cyclotomic_field,
     prime_field,
@@ -271,7 +271,7 @@ def cmd_dump_resolution(args) -> int:
         d = differential(A, n, variant)
         for i in range(n + 1):
             pieces = [
-                f"({env_to_text(env)}) f{n-1}_{j}" for j, env in d.column(i)
+                f"({element_to_text(d[j, i])}) f{n-1}_{j}" for j in (i - 1, i) if (j, i) in d
             ]
             print(f"d{n} f{n}_{i} = " + (" + ".join(pieces) if pieces else "0"))
     return 0
@@ -343,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-degree", type=nonnegative_int, default=4)
     p.add_argument(
         "--variant",
-        choices=(GENERAL, "simplified-a2", "simplified-a3plus"),
+        choices=(GENERAL, SIMPLIFIED_A2, SIMPLIFIED_A3),
         default=None,
     )
     p.set_defaults(func=cmd_dump_resolution)

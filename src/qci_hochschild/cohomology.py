@@ -86,35 +86,6 @@ class CohomologyClass:
         return f"CohomologyClass({self.label or 'deg ' + str(self.degree)})"
 
 
-def _action_block(A: QuantumCompleteIntersection, env) -> dict:
-    """{(row, col): c} of m -> env . m on the monomial basis of A.
-
-    Built through act_mono once per context and band element, keyed by the
-    element's value, so equal band elements of different degrees or columns
-    share one block.
-    """
-
-    def build():
-        block = {}
-        for m in A.monomials():
-            col = A.mono_index(m)
-            for tensor, c in env.terms.items():
-                hit = A.act_mono(tensor, m)
-                if hit is None:
-                    continue
-                scale, mono = hit
-                add_term(block, (A.mono_index(mono), col), c * scale)
-        return block
-
-    return A.cached(("action", frozenset(env.terms.items())), build)
-
-
-def _tile(entries, block, row_offset, col_offset):
-    """Write a block into entries at the offsets; tiles never overlap."""
-    for (row, col), c in block.items():
-        entries[(row_offset + row, col_offset + col)] = c
-
-
 def hom_differential(A: QuantumCompleteIntersection, n: int) -> SparseMatrix:
     """Matrix of composing with d_n, from A^n to A^(n+1), on monomial bases.
 
@@ -127,10 +98,11 @@ def hom_differential(A: QuantumCompleteIntersection, n: int) -> SparseMatrix:
 
     def build():
         a2 = A.dim
-        entries = {}
-        for (j, i), env in differential(A, n, preferred_variant(A)).entries.items():
-            _tile(entries, _action_block(A, env), i * a2, j * a2)
-        return SparseMatrix((n + 1) * a2, n * a2, entries, A.field)
+        tiles = (
+            (i * a2, j * a2, A.action_block(env))
+            for (j, i), env in differential(A, n, preferred_variant(A)).items()
+        )
+        return SparseMatrix.tiled((n + 1) * a2, n * a2, tiles, A.field)
 
     return A.cached(("homdiff", n), build)
 
@@ -204,13 +176,9 @@ def delta_matrix(A: QuantumCompleteIntersection, n: int) -> SparseMatrix:
 
     def build():
         a2 = A.dim
-        entries = {}
-        for i in range(n + 1):
-            if i <= n - 1:
-                _tile(entries, _delta_block(A, n, i, sub=False), i * a2, i * a2)
-            if i >= 1:
-                _tile(entries, _delta_block(A, n, i, sub=True), (i - 1) * a2, i * a2)
-        return SparseMatrix(n * a2, (n + 1) * a2, entries, A.field)
+        diagonal = [(i * a2, i * a2, _delta_block(A, n, i, sub=False)) for i in range(n)]
+        sub = [((i - 1) * a2, i * a2, _delta_block(A, n, i, sub=True)) for i in range(1, n + 1)]
+        return SparseMatrix.tiled(n * a2, (n + 1) * a2, diagonal + sub, A.field)
 
     return A.cached(("delta", n), build)
 
@@ -260,7 +228,7 @@ def _named_basis(A, degree):
     def build():
         hom_next = hom_differential(A, degree + 1)
         classes = []
-        entries = {}
+        tiles = []
         for label, index, value in _standard_values(A, degree):
             values = [A.zero()] * (degree + 1)
             values[index] = value
@@ -268,19 +236,17 @@ def _named_basis(A, degree):
             vec = cochain.to_vector()
             if hom_next.apply(vec):
                 raise BasisError(f"{label} in degree {degree} is not a cocycle")
-            for row, c in vec.items():
-                entries[(row, len(classes))] = c
+            tiles.append((0, len(classes), {(row, 0): c for row, c in vec.items()}))
             classes.append(CohomologyClass(degree=degree, representative=cochain, label=label))
 
         ncols = len(classes)
         image_rank = 0
         if degree >= 2:
             hom_prev = hom_differential(A, degree)
-            for (row, col), c in hom_prev.entries.items():
-                entries[(row, ncols + col)] = c
+            tiles.append((0, ncols, hom_prev.entries))
             ncols += hom_prev.cols
             image_rank = hom_prev.rank()
-        solver = SparseMatrix((degree + 1) * A.dim, ncols, entries, A.field)
+        solver = SparseMatrix.tiled((degree + 1) * A.dim, ncols, tiles, A.field)
 
         expected = 2 * degree + 2
         span = solver.rank() - image_rank
@@ -318,9 +284,6 @@ class ExpressedCocycle:
 
     coordinates: list
     certificate: Cochain | None
-
-    def is_zero_class(self) -> bool:
-        return not any(self.coordinates)
 
 
 def express(A: QuantumCompleteIntersection, cochain: Cochain) -> ExpressedCocycle:

@@ -190,6 +190,24 @@ class SparseMatrix:
         return cls(len(data), len(data[0]) if data else 0, entries, field)
 
     @classmethod
+    def tiled(cls, rows, cols, tiles, field):
+        """The rows x cols matrix holding blocks placed at offsets.
+
+        tiles yields (row offset, col offset, block) triples, each block a
+        dict {(row, col): scalar}.  Every entry is bounds-checked against the
+        whole matrix, and tiles that share an entry raise ValueError.
+        """
+        entries = {}
+        placed = 0
+        for row_offset, col_offset, block in tiles:
+            placed += len(block)
+            for (i, j), v in block.items():
+                entries[(row_offset + i, col_offset + j)] = v
+        if len(entries) != placed:
+            raise ValueError(f"tiles of a {rows}x{cols} matrix overlap")
+        return cls(rows, cols, entries, field)
+
+    @classmethod
     def identity(cls, n, field):
         one = field.one()
         return cls(n, n, {(i, i): one for i in range(n)}, field)

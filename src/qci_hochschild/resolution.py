@@ -1,22 +1,29 @@
 """Minimal free bimodule resolution of A over its enveloping algebra.
 
 Degree n is free of rank n+1 on generators f^n_0 ... f^n_n.  A differential
-is stored column by column: column i holds the coefficients of d(f^n_i) on
-f^(n-1)_i (the diagonal band) and f^(n-1)_(i-1) (the sub band); out-of-range
-generator indices are simply dropped.
+is its entry dict {(j, i): EnvElement}: entry (j, i) is the coefficient of
+d(f^n_i) on f^(n-1)_j, which lies on the diagonal band (j = i) or the sub
+band (j = i - 1); out-of-range generator indices are simply dropped, and
+zero entries are not stored.  Each context caches one read-only view of it
+per degree and variant.  Module maps compose through compose and pull_back
+on these dicts.
 
 Three variants are available: the general closed form valid for any nonzero
 q, and the two rewritten forms (one for a = 2 with its sign pattern, one for
 a >= 3 with arguments reduced to 0 or 1) that apply when q has order a.  The
 variants agree entry-wise, and verify_resolution checks this along with
-d . d = 0, minimality and exactness.
+d . d = 0, minimality and exactness.  Exactness is checked at the k-linear
+level: d_n is tiled from one block of w -> w . e per band element e, built
+once per context, and the augmentation is a single tile.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field as dataclass_field
+from types import MappingProxyType
 
-from .algebra import EnvElement, QuantumCompleteIntersection
+from .algebra import EnvElement, QuantumCompleteIntersection, element_to_text
 from .linalg import SparseMatrix, add_term
 
 
@@ -101,57 +108,6 @@ def a2_band_elements(A: QuantumCompleteIntersection):
     return beta_y, beta_x, alpha_y, alpha_x
 
 
-class DifferentialMatrix:
-    """Columns of d_n: P_n -> P_(n-1) over the enveloping algebra."""
-
-    def __init__(self, algebra, degree, variant, entries):
-        self.algebra = algebra
-        self.degree = degree
-        self.variant = variant
-        self.entries = {k: v for k, v in entries.items() if v}
-
-    def entry(self, j, i):
-        return self.entries.get((j, i))
-
-    def column(self, i):
-        out = []
-        for j in (i - 1, i):
-            env = self.entries.get((j, i))
-            if env is not None:
-                out.append((j, env))
-        return out
-
-    def two_band_ok(self) -> bool:
-        return all(j in (i - 1, i) for (j, i) in self.entries)
-
-    def is_minimal(self) -> bool:
-        return all(env.in_radical() for env in self.entries.values())
-
-    def as_linear_matrix(self) -> SparseMatrix:
-        """The same map as a k-linear matrix of size (n a^4) x ((n+1) a^4)."""
-        A = self.algebra
-        dim = A.dim * A.dim
-        entries = {}
-        for i in range(self.degree + 1):
-            cols = self.column(i)
-            for w_index in range(dim):
-                w = A.env_from_index(w_index)
-                col = i * dim + w_index
-                for j, env in cols:
-                    for tensor, c in env.terms.items():
-                        hit = A.env_mono_mul(w, tensor)
-                        if hit is None:
-                            continue
-                        scale, target = hit
-                        add_term(entries, (j * dim + A.env_index(target), col), c * scale)
-        return SparseMatrix(
-            self.degree * dim, (self.degree + 1) * dim, entries, A.field
-        )
-
-    def __repr__(self):
-        return f"DifferentialMatrix(n={self.degree}, variant={self.variant})"
-
-
 def _half(n: int) -> int:
     q, r = divmod(n, 2)
     if r:
@@ -210,8 +166,12 @@ def _simplified_a3_column(A, n, i):
     )
 
 
-def differential(A: QuantumCompleteIntersection, n: int, variant: str = GENERAL):
-    """d_n in the requested variant, cached on the algebra context."""
+def differential(A: QuantumCompleteIntersection, n: int, variant: str = GENERAL) -> Mapping:
+    """Entries {(j, i): EnvElement} of d_n in the requested variant.
+
+    Cached on the algebra context, so every caller shares one read-only view
+    of the entry dict.
+    """
     if n < 1:
         raise ValueError("differentials start in degree 1")
     if variant == SIMPLIFIED_A2 and A.a != 2:
@@ -234,7 +194,7 @@ def differential(A: QuantumCompleteIntersection, n: int, variant: str = GENERAL)
                 entries[(i, i)] = diag
             if i - 1 >= 0 and sub:
                 entries[(i - 1, i)] = sub
-        return DifferentialMatrix(A, n, variant, entries)
+        return MappingProxyType(entries)
 
     return A.cached(("diff", n, variant), build)
 
@@ -243,30 +203,6 @@ def preferred_variant(A: QuantumCompleteIntersection) -> str:
     if not A.is_root_of_unity:
         return GENERAL
     return SIMPLIFIED_A2 if A.a == 2 else SIMPLIFIED_A3
-
-
-class Augmentation:
-    """P_0 -> A, sending e f^0_0 to e . 1."""
-
-    def __init__(self, algebra):
-        self.algebra = algebra
-
-    def as_linear_matrix(self) -> SparseMatrix:
-        A = self.algebra
-        dim = A.dim * A.dim
-        entries = {}
-        for w_index in range(dim):
-            w = A.env_from_index(w_index)
-            hit = A.act_mono(w, (0, 0))
-            if hit is None:
-                continue
-            scale, mono = hit
-            entries[(A.mono_index(mono), w_index)] = scale
-        return SparseMatrix(A.dim, dim, entries, A.field)
-
-
-def augmentation(A: QuantumCompleteIntersection) -> Augmentation:
-    return Augmentation(A)
 
 
 def compose(outer: dict, inner: dict) -> dict:
@@ -310,6 +246,12 @@ class CheckReport:
     def record(self, name, ok, detail=""):
         self.checks.append((name, bool(ok), detail))
 
+    def record_first(self, name, witnesses):
+        """Record a check that fails exactly when witnesses, listed in a fixed
+        order and read lazily, holds one; the first one is the detail."""
+        witness = next(iter(witnesses), "")
+        self.record(name, not witness, witness)
+
     @property
     def ok(self) -> bool:
         return all(ok for _, ok, _ in self.checks)
@@ -324,6 +266,27 @@ class CheckReport:
         raise KeyError(name)
 
 
+def _linear_differential(A: QuantumCompleteIntersection, n: int, entries: dict) -> SparseMatrix:
+    """d_n given by its entries as a k-linear matrix, (n a^4) x ((n+1) a^4).
+
+    Entry (j, i) contributes the block of w -> w . entry at row offset j a^4
+    and column offset i a^4.
+    """
+    size = A.dim * A.dim
+    tiles = ((j * size, i * size, A.product_block(env)) for (j, i), env in entries.items())
+    return SparseMatrix.tiled(n * size, (n + 1) * size, tiles, A.field)
+
+
+def _linear_augmentation(A: QuantumCompleteIntersection) -> SparseMatrix:
+    """The augmentation P_0 -> A, w f^0_0 -> w . 1, as one a^2 x a^4 tile."""
+    block = {}
+    for w in ((m1, m2) for m1 in A.monomials() for m2 in A.monomials()):
+        hit = A.act_mono(w, (0, 0))
+        if hit is not None:
+            block[(A.mono_index(hit[1]), A.env_index(w))] = hit[0]
+    return SparseMatrix.tiled(A.dim, A.dim * A.dim, [(0, 0, block)], A.field)
+
+
 def verify_resolution(
     A: QuantumCompleteIntersection,
     n_max: int,
@@ -336,7 +299,8 @@ def verify_resolution(
     augmentation), minimality, entry-wise agreement of the simplified variant
     with the general one, and exactness at the k-linear level for degrees up
     to exactness_max (defaults to n_max; exactness needs the ranks of k-linear
-    matrices of size about (n+1) a^4, which dominate the cost).
+    matrices of size about (n+1) a^4, which dominate the cost).  A failing
+    check names its first witness, by degree, then generator or entry.
     """
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
@@ -347,47 +311,45 @@ def verify_resolution(
 
     diffs = {n: differential(A, n, GENERAL) for n in range(1, n_max + 2)}
 
-    shape_ok = all(d.two_band_ok() for d in diffs.values())
-    report.record("two-band shape", shape_ok)
+    report.record_first("two-band shape", (
+        f"degree {n}, entry {(j, i)} is off the two bands"
+        for n, d in diffs.items() for j, i in sorted(d) if j not in (i - 1, i)
+    ))
 
-    mu_d1 = pull_back([A.one()], diffs[1].entries, 2)
-    report.record(
-        "augmentation composes to zero",
-        not any(mu_d1),
-        "mu . d_1 != 0" if any(mu_d1) else "",
-    )
+    mu_d1 = pull_back([A.one()], diffs[1], 2)
+    report.record_first("augmentation composes to zero", (
+        f"mu . d_1 != 0 on f1_{i}: {element_to_text(value)}"
+        for i, value in enumerate(mu_d1) if value
+    ))
 
     for n in range(2, n_max + 1):
-        leftover = compose(diffs[n - 1].entries, diffs[n].entries)
+        leftover = compose(diffs[n - 1], diffs[n])
         if leftover:
-            key = sorted(leftover)[0]
             report.record(
-                f"d.d = 0 at degree {n}", False, f"nonzero entry at {key}"
+                f"d.d = 0 at degree {n}", False, f"nonzero entry at {min(leftover)}"
             )
             break
     else:
         report.record(f"d.d = 0 up to degree {n_max}", True)
 
-    minimal_ok = all(diffs[n].is_minimal() for n in range(1, n_max + 1))
-    report.record("minimality (entries in the radical)", minimal_ok)
+    report.record_first("minimality (entries in the radical)", (
+        f"degree {n}, entry {key} is not in the radical"
+        for n in range(1, n_max + 1) for key in sorted(diffs[n])
+        if not diffs[n][key].in_radical()
+    ))
 
     if variant != GENERAL:
-        agree = True
-        witness = ""
-        for n in range(1, n_max + 1):
-            simp = differential(A, n, variant)
-            if simp.entries != diffs[n].entries:
-                agree = False
-                witness = f"degree {n}"
-                break
-        report.record("simplified variant agrees with general form", agree, witness)
+        report.record_first("simplified variant agrees with general form", (
+            f"degree {n}" for n in range(1, n_max + 1) if differential(A, n, variant) != diffs[n]
+        ))
 
     if exactness_max >= 1:
-        mu_rank = augmentation(A).as_linear_matrix().rank()
+        mu_rank = _linear_augmentation(A).rank()
         ker_mu = A.dim * A.dim - mu_rank
-        ranks = {}
-        for n in range(1, min(exactness_max + 1, n_max) + 1):
-            ranks[n] = diffs[n].as_linear_matrix().rank()
+        ranks = {
+            n: _linear_differential(A, n, diffs[n]).rank()
+            for n in range(1, min(exactness_max + 1, n_max) + 1)
+        }
         report.record(
             "exactness at P_0 (im d_1 = ker mu)",
             mu_rank == A.dim and ranks[1] == ker_mu,

@@ -578,11 +578,6 @@ def prime_field_for(root_order: int) -> PrimeField:
     return PrimeField(smallest_prime_modulus(root_order), root_order)
 
 
-def primitive_root(field):
-    """The field's distinguished primitive root of unity (deterministic)."""
-    return field.root
-
-
 def _partial_sums(alpha, n: int) -> list:
     """[1, 1 + alpha, ..., 1 + alpha + ... + alpha^n], with n products."""
     power = total = alpha ** 0

@@ -17,7 +17,8 @@ verify_lifting checks each square d_s h_s = h_(s-1) d_(2t+s) as an equality
 of two module maps, both sides built by resolution.compose, and the base
 triangle by pulling the augmentation back along h_0 with resolution.pull_back;
 yoneda_product pulls the first factor back along the top map the same way.
-A failing square names its first mismatch in (column, target) order.
+A failing square names its first mismatch in (column, target) order, and a
+failing base triangle its first generator.
 
 Note on eps_x: the commuting-square conditions pin it to -beta_x(0); with
 -beta_x(1) in its place the odd-level squares fail, which verify_lifting
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import QuantumCompleteIntersection, env_to_text
+from .algebra import QuantumCompleteIntersection, element_to_text
 from .cohomology import (
     Cochain,
     CohomologyClass,
@@ -155,24 +156,23 @@ def verify_lifting(family: LiftingFamily) -> CheckReport:
 
     # mu . h_0 pulls the augmentation's cochain, 1 on f^0_0, back along h_0
     recovered = pull_back([A.one()], family.maps[0], family.degree + 1)
-    report.record(
-        "h_0 recovers the cochain through the augmentation",
-        recovered == [A.one().scale(p) for p in family.values],
-    )
+    wanted = [A.one().scale(p) for p in family.values]
+    report.record_first("h_0 recovers the cochain through the augmentation", (
+        f"f{family.degree}_{i}: {element_to_text(got)} versus {element_to_text(want)}"
+        for i, (got, want) in enumerate(zip(recovered, wanted)) if got != want
+    ))
 
+    zero = A.env_zero()
     for s in range(1, family.s_max + 1):
-        lhs = compose(differential(A, s, variant).entries, family.maps[s])
-        rhs = compose(family.maps[s - 1], differential(A, family.degree + s, variant).entries)
-        bad = [(i, k) for k, i in lhs.keys() | rhs.keys() if lhs.get((k, i)) != rhs.get((k, i))]
-        witness = ""
-        if bad:  # name the first mismatch in (column i, target k) order
-            i, k = min(bad)
-            got, want = (side.get((k, i), A.env_zero()) for side in (lhs, rhs))
-            witness = (
-                f"s={s}, column {i}, target {k}: "
-                f"{env_to_text(got)} versus {env_to_text(want)}"
-            )
-        report.record(f"square at s={s}", not bad, witness)
+        lhs = compose(differential(A, s, variant), family.maps[s])
+        rhs = compose(family.maps[s - 1], differential(A, family.degree + s, variant))
+        # the first mismatch in (column i, target k) order
+        report.record_first(f"square at s={s}", (
+            f"s={s}, column {i}, target {k}: "
+            f"{element_to_text(lhs.get((k, i), zero))} versus {element_to_text(rhs.get((k, i), zero))}"
+            for i, k in sorted((i, k) for k, i in lhs.keys() | rhs.keys())
+            if lhs.get((k, i)) != rhs.get((k, i))
+        ))
     return report
 
 
@@ -249,7 +249,7 @@ def relations_check(A: QuantumCompleteIntersection):
         lhs = lhs_fn()
         rhs = rhs_fn()
         ok = lhs == rhs
-        witness = "" if ok else f"difference: {env_to_text(lhs - rhs)}"
+        witness = "" if ok else f"difference: {element_to_text(lhs - rhs)}"
         report.record(name, ok, witness)
     return report
 

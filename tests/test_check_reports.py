@@ -3,12 +3,13 @@
 Each report below was recorded as a literal, so a refactor of the checks
 must keep naming the same first witness in the same words: a failing square
 names its first mismatch in (column, target) order, a failing d.d = 0 its
-first nonzero entry.
+first nonzero entry, and the shape, augmentation, minimality and base
+triangle checks their first degree, entry or generator.
 """
 
 from qci_hochschild import resolution
 from qci_hochschild.algebra import QuantumCompleteIntersection
-from qci_hochschild.resolution import beta_element, verify_resolution
+from qci_hochschild.resolution import GENERAL, TAU_X, beta_element, structure_element, verify_resolution
 from qci_hochschild.scalars import cyclotomic_field, prime_field_for
 from qci_hochschild.yoneda import build_lifting, verify_lifting
 
@@ -132,6 +133,40 @@ BROKEN_D3_A3 = [
 ]
 
 
+UNIT_ON_D1_A3 = [
+    ("two-band shape", True, ""),
+    ("augmentation composes to zero", False, "mu . d_1 != 0 on f1_0: 1 * y^0 x^0"),
+    ("d.d = 0 at degree 2", False, "nonzero entry at (0, 0)"),
+    ("minimality (entries in the radical)", False, "degree 1, entry (0, 0) is not in the radical"),
+    ("simplified variant agrees with general form", False, "degree 1"),
+    ("exactness at P_0 (im d_1 = ker mu)", False, "rank mu = 9, rank d_1 = 81, dim ker mu = 72"),
+    ("exactness at P_1", False, "dim ker d_1 = 81, dim im d_2 = 90"),
+    ("exactness at P_2", True, "dim ker d_2 = 153, dim im d_3 = 153"),
+]
+
+
+OFF_BAND_D2_A3 = [
+    ("two-band shape", False, "degree 2, entry (0, 2) is off the two bands"),
+    ("augmentation composes to zero", True, ""),
+    ("d.d = 0 at degree 2", False, "nonzero entry at (0, 2)"),
+    ("minimality (entries in the radical)", True, ""),
+    ("simplified variant agrees with general form", True, ""),
+]
+
+
+EXTRA_H0_ENTRY_A3_PRIME = [
+    ("h_0 recovers the cochain through the augmentation", False, "f2_2: 1 * y^0 x^1 versus 0"),
+    (
+        "square at s=1",
+        False,
+        "s=1, column 2, target 0: 4 * y^0 x^0 (x) y^0 x^2 + 2 * y^0 x^1 (x) y^0 x^1 + "
+        "1 * y^0 x^2 (x) y^0 x^0 versus 4 * y^0 x^0 (x) y^0 x^2 + 2 * y^0 x^1 (x) y^0 x^1 + "
+        "1 * y^0 x^1 (x) y^1 x^0 + 1 * y^0 x^2 (x) y^0 x^0 + 6 * y^1 x^1 (x) y^0 x^0",
+    ),
+    ("square at s=2", True, ""),
+]
+
+
 def test_wrong_eps_y_weight_report():
     A = QuantumCompleteIntersection(3, cyclotomic_field(3))
     family = build_lifting(A, unit_values(A, 2, 1), 4, _eps_y=-beta_element(A, "y", 1))
@@ -161,3 +196,34 @@ def test_broken_differential_report(monkeypatch):
     monkeypatch.setattr(resolution, "_general_column", broken)
     A = QuantumCompleteIntersection(3, cyclotomic_field(3))  # a fresh context: nothing cached
     assert verify_resolution(A, 4, exactness_max=0).checks == BROKEN_D3_A3
+
+
+def test_unit_on_d1_diagonal_report(monkeypatch):
+    general = resolution._general_column
+
+    def broken(A, n, i):
+        diag, sub = general(A, n, i)
+        return (diag + A.env_one(), sub) if (n, i) == (1, 0) else (diag, sub)
+
+    monkeypatch.setattr(resolution, "_general_column", broken)
+    A = QuantumCompleteIntersection(3, cyclotomic_field(3))
+    assert verify_resolution(A, 4, exactness_max=2).checks == UNIT_ON_D1_A3
+
+
+def test_off_band_entry_report(monkeypatch):
+    differential = resolution.differential
+
+    def broken(A, n, variant=GENERAL):
+        d = differential(A, n, variant)
+        return {**d, (0, 2): structure_element(A, TAU_X, 0)} if n == 2 else d
+
+    monkeypatch.setattr(resolution, "differential", broken)
+    A = QuantumCompleteIntersection(3, cyclotomic_field(3))
+    assert verify_resolution(A, 3, exactness_max=0).checks == OFF_BAND_D2_A3
+
+
+def test_extra_h0_entry_report():
+    A = QuantumCompleteIntersection(3, prime_field_for(3))
+    family = build_lifting(A, unit_values(A, 2, 1), 2)
+    family.maps[0][(0, 2)] = A.env_tensor((0, 1), (0, 0))
+    assert verify_lifting(family).checks == EXTRA_H0_ENTRY_A3_PRIME

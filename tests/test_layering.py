@@ -128,3 +128,28 @@ def attribute_names(name):
 def test_only_the_algebra_touches_the_context_memo():
     # every per-context build goes through QuantumCompleteIntersection.cached
     assert {name for name in MODULES if "_cache" in attribute_names(name)} == {"algebra"}
+
+
+def matrix_constructor_calls(text):
+    """Line numbers of direct SparseMatrix(...) calls in the source `text`."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "SparseMatrix"
+    ]
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "linalg"])
+def test_only_linalg_calls_the_matrix_constructor(name):
+    # every other module assembles its k-linear matrices through SparseMatrix.tiled
+    assert not matrix_constructor_calls(source(name)), name
+
+
+def test_constructor_reader_sees_planted_calls():
+    planted = (
+        "m = SparseMatrix(2, 2, {}, F)\n"
+        "n = linalg.SparseMatrix(1, 1, {}, F)\n"
+        "t = SparseMatrix.tiled(2, 2, [], F)\n"
+    )
+    assert matrix_constructor_calls(planted) == [1, 2]

@@ -158,6 +158,17 @@ def test_entries_outside_the_shape_are_rejected(key):
         SparseMatrix(1, 1, {(0, 0): R.one(), key: R.one()}, R)
 
 
+def test_tiled_places_blocks_and_rejects_overlap_and_overflow():
+    one, two = R.one(), R.from_int(2)
+    block = {(0, 0): one, (1, 1): two}
+    m = SparseMatrix.tiled(3, 4, [(0, 0, block), (1, 2, block)], R)
+    assert m.entries == {(0, 0): one, (1, 1): two, (1, 2): one, (2, 3): two}
+    with pytest.raises(ValueError, match="overlap"):
+        SparseMatrix.tiled(3, 4, [(0, 0, block), (1, 1, block)], R)
+    with pytest.raises(ValueError, match=re.escape(str((3, 3)))):
+        SparseMatrix.tiled(3, 4, [(2, 2, block)], R)
+
+
 @pytest.mark.parametrize("coord", [2, -1])
 def test_subspace_rejects_coordinates_outside_the_ambient(coord):
     with pytest.raises(ValueError, match=f"coordinate {coord} "):

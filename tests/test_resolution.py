@@ -1,8 +1,9 @@
 
 import pytest
 
-from qci_hochschild.algebra import QuantumCompleteIntersection, env_to_text
+from qci_hochschild.algebra import QuantumCompleteIntersection
 from qci_hochschild.cohomology import Cochain, hom_differential
+from qci_hochschild.linalg import SparseMatrix, add_term
 from qci_hochschild.resolution import (
     GAMMA_X,
     GAMMA_Y,
@@ -13,8 +14,9 @@ from qci_hochschild.resolution import (
     TAU_Y,
     OrderError,
     VariantError,
+    _linear_augmentation,
+    _linear_differential,
     a2_band_elements,
-    augmentation,
     beta_element,
     compose,
     differential,
@@ -97,23 +99,23 @@ def test_degree_one_columns():
     for a in (2, 3, 4):
         A = make(a)
         d1 = differential(A, 1)
-        assert d1.entry(0, 0) == structure_element(A, TAU_Y, 0)
-        assert d1.entry(0, 1) == structure_element(A, TAU_X, 0)
-        assert not compose(d1.entries, differential(A, 2).entries)
+        assert d1.get((0, 0)) == structure_element(A, TAU_Y, 0)
+        assert d1.get((0, 1)) == structure_element(A, TAU_X, 0)
+        assert not compose(d1, differential(A, 2))
 
 
 def test_a2_sign_pattern():
     A = make(2)
     beta_y, beta_x, alpha_y, alpha_x = a2_band_elements(A)
     d2 = differential(A, 2, SIMPLIFIED_A2)
-    assert d2.entry(1, 1) == -beta_y
-    assert d2.entry(0, 1) == -beta_x
-    assert d2.entry(0, 0) == beta_y
+    assert d2.get((1, 1)) == -beta_y
+    assert d2.get((0, 1)) == -beta_x
+    assert d2.get((0, 0)) == beta_y
     d3 = differential(A, 3, SIMPLIFIED_A2)
-    assert d3.entry(0, 0) == alpha_y
-    assert d3.entry(0, 1) == alpha_x
-    assert d3.entry(1, 1) == -alpha_y
-    assert d3.entry(1, 2) == -alpha_x
+    assert d3.get((0, 0)) == alpha_y
+    assert d3.get((0, 1)) == alpha_x
+    assert d3.get((1, 1)) == -alpha_y
+    assert d3.get((1, 2)) == -alpha_x
 
 
 def test_variant_preconditions():
@@ -130,7 +132,7 @@ def test_variants_agree_entrywise(a):
     A = make(a)
     variant = SIMPLIFIED_A2 if a == 2 else SIMPLIFIED_A3
     for n in range(1, 13):
-        assert differential(A, n, GENERAL).entries == differential(A, n, variant).entries
+        assert differential(A, n, GENERAL) == differential(A, n, variant)
 
 
 def test_general_arguments_reduce_to_zero_or_one():
@@ -141,8 +143,8 @@ def test_general_arguments_reduce_to_zero_or_one():
         for n in range(1, 11):
             d = differential(A, n, GENERAL)
             for i in range(n + 1):
-                diag = d.entry(i, i)
-                sub = d.entry(i - 1, i)
+                diag = d.get((i, i))
+                sub = d.get((i - 1, i))
                 if n % 2 == 0:
                     want_diag = (
                         structure_element(A, GAMMA_Y, 0)
@@ -175,7 +177,7 @@ def test_general_arguments_reduce_to_zero_or_one():
 def test_complex_property(a):
     A = make(a)
     for n in range(2, 13):
-        assert not compose(differential(A, n - 1).entries, differential(A, n).entries), (a, n)
+        assert not compose(differential(A, n - 1), differential(A, n)), (a, n)
 
 
 def test_complex_property_generic_q():
@@ -184,13 +186,13 @@ def test_complex_property_generic_q():
     A = QuantumCompleteIntersection(3, R, q=R.from_int(2))
     assert not A.is_root_of_unity
     for n in range(2, 8):
-        assert not compose(differential(A, n - 1).entries, differential(A, n).entries)
+        assert not compose(differential(A, n - 1), differential(A, n))
 
 
 def test_compose_and_pull_back_with_identity_maps():
     # the identity of P_n is the map with env_one on the diagonal
     A = make(3)
-    d = differential(A, 3).entries
+    d = differential(A, 3)
     identity = {(i, i): A.env_one() for i in range(4)}
     assert compose(d, identity) == d == compose({(k, k): A.env_one() for k in range(3)}, d)
     values = [A.x(), A.y(), A.one()]
@@ -198,7 +200,18 @@ def test_compose_and_pull_back_with_identity_maps():
     # pulling a cochain back along d_3 is applying the transpose differential
     pulled = Cochain(A, 3, pull_back(values, d, 4))
     assert pulled.to_vector() == hom_differential(A, 3).apply(Cochain(A, 2, values).to_vector())
-    assert pull_back([A.one()], differential(A, 1).entries, 2) == [A.zero(), A.zero()]
+    assert pull_back([A.one()], differential(A, 1), 2) == [A.zero(), A.zero()]
+
+
+def test_differential_is_a_shared_read_only_view():
+    # a context caches d_n once, so a caller that changed it would change
+    # every later build on that context
+    A = make(3)
+    d = differential(A, 3)
+    assert differential(A, 3) is d
+    with pytest.raises(TypeError):
+        del d[(0, 0)]
+    assert compose(differential(A, 2), d) == {}
 
 
 def test_two_band_shape_and_minimality():
@@ -206,8 +219,8 @@ def test_two_band_shape_and_minimality():
         A = make(a)
         for n in range(1, 11):
             d = differential(A, n)
-            assert d.two_band_ok()
-            assert d.is_minimal()
+            assert all(j in (i - 1, i) for j, i in d)
+            assert all(env.in_radical() for env in d.values())
 
 
 # -- augmentation -----------------------------------------------------------------
@@ -218,15 +231,67 @@ def test_augmentation_values():
     assert A.env_one().act(A.one()) == A.one()
     assert A.env_tensor((0, 1), (0, 0)).act(A.one()) == A.x()
     d1 = differential(A, 1)
-    assert not d1.entry(0, 0).act(A.one())
-    assert not d1.entry(0, 1).act(A.one())
+    assert not d1.get((0, 0)).act(A.one())
+    assert not d1.get((0, 1)).act(A.one())
 
 
 def test_augmentation_linear_matrix():
     A = make(2)
-    mu = augmentation(A).as_linear_matrix()
+    mu = _linear_augmentation(A)
     assert mu.rows == 4 and mu.cols == 16
     assert mu.rank() == 4  # surjective
+
+
+# -- the tiled exactness matrices against per-entry references --------------------
+
+def env_from_index(A, k):
+    """The basis tensor of A (x) A^op with A.env_index equal to k."""
+    hi, lo = divmod(k, A.dim)
+    return (A.mono_from_index(hi), A.mono_from_index(lo))
+
+
+def linear_differential_by_entries(A, n, d):
+    """d_n as a k-linear matrix, one basis tensor w and band entry at a time."""
+    dim = A.dim * A.dim
+    entries = {}
+    for i in range(n + 1):
+        cols = [(j, d[j, i]) for j in (i - 1, i) if (j, i) in d]
+        for w_index in range(dim):
+            w = env_from_index(A, w_index)
+            col = i * dim + w_index
+            for j, env in cols:
+                for tensor, c in env.terms.items():
+                    hit = A.env_mono_mul(w, tensor)
+                    if hit is None:
+                        continue
+                    scale, target = hit
+                    add_term(entries, (j * dim + A.env_index(target), col), c * scale)
+    return SparseMatrix(n * dim, (n + 1) * dim, entries, A.field)
+
+
+def linear_augmentation_by_entries(A):
+    """The augmentation w f^0_0 -> w . 1 as a k-linear matrix, tensor by tensor."""
+    dim = A.dim * A.dim
+    entries = {}
+    for w_index in range(dim):
+        hit = A.act_mono(env_from_index(A, w_index), (0, 0))
+        if hit is None:
+            continue
+        scale, mono = hit
+        entries[(A.mono_index(mono), w_index)] = scale
+    return SparseMatrix(A.dim, dim, entries, A.field)
+
+
+@pytest.mark.parametrize("backend", ("cyclotomic", "prime"))
+@pytest.mark.parametrize("a", (2, 3, 4))
+def test_tiled_exactness_matrices_equal_their_references(a, backend):
+    A = make(a, backend)
+    mu, want_mu = _linear_augmentation(A), linear_augmentation_by_entries(A)
+    assert (mu.rows, mu.cols, mu.entries) == (want_mu.rows, want_mu.cols, want_mu.entries)
+    for n in (1, 2, 3):
+        d = differential(A, n)
+        got, want = _linear_differential(A, n, d), linear_differential_by_entries(A, n, d)
+        assert (got.rows, got.cols, got.entries) == (want.rows, want.cols, want.entries), n
 
 
 # -- full verification --------------------------------------------------------------
