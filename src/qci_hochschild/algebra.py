@@ -14,7 +14,9 @@ All element values are immutable once built; operations return new objects.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .linalg import SparseMatrix, add_term
 
@@ -154,13 +156,13 @@ class QuantumCompleteIntersection:
 
     # -- per-context blocks of k-linear maps ------------------------------------
 
-    def _block(self, kind, env, basis, op, index) -> dict:
+    def _block(self, kind, env, basis, op, index) -> Mapping:
         """{(row, col): c} of the map sending basis[col] to sum_t c_t op(basis[col], t).
 
         The sum runs over the terms c_t t of env; op returns (scalar, key) or
         None, and the row is index(key).  Built once per context and kind,
         keyed by env's value, so equal band elements of different degrees or
-        columns share one block.
+        columns share one block, handed out as a read-only view.
         """
 
         def build():
@@ -170,17 +172,17 @@ class QuantumCompleteIntersection:
                     hit = op(b, t)
                     if hit is not None:
                         add_term(block, (index(hit[1]), col), c * hit[0])
-            return block
+            return MappingProxyType(block)
 
         return self.cached((kind, frozenset(env.terms.items())), build)
 
-    def action_block(self, env) -> dict:
+    def action_block(self, env) -> Mapping:
         """m -> env . m on the monomial basis of A."""
         return self._block(
             "action", env, self.monomials(), lambda m, t: self.act_mono(t, m), self.mono_index
         )
 
-    def product_block(self, env) -> dict:
+    def product_block(self, env) -> Mapping:
         """w -> w env on the basis tensors of A (x) A^op, in env_index order."""
         tensors = ((m1, m2) for m1 in self.monomials() for m2 in self.monomials())
         return self._block("product", env, tensors, self.env_mono_mul, self.env_index)

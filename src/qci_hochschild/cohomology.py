@@ -14,7 +14,9 @@ of the package's standing cross-checks.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .algebra import AlgebraElement, QuantumCompleteIntersection, element_to_text
 from .linalg import SparseMatrix, add_term
@@ -121,13 +123,14 @@ def _geometric_sums(A: QuantumCompleteIntersection) -> list:
     return A.cached("ksums", lambda: [k_sum(A.a, A.q_power(m)) for m in range(A.a + 2)])
 
 
-def _delta_block(A: QuantumCompleteIntersection, n: int, i: int, sub: bool) -> dict:
+def _delta_block(A: QuantumCompleteIntersection, n: int, i: int, sub: bool) -> Mapping:
     """{(row, col): c} from y^u x^v e^n_i to generator i, or i - 1 when sub.
 
     The entries depend on n and i only through their parities, so a context
-    builds at most eight blocks.  The diagonal part weights like gamma_y when
-    i and n have the same parity and like tau_y otherwise; the sub-band part
-    like gamma_x for even i and like tau_x for odd i.
+    builds at most eight blocks, each handed out as a read-only view.  The
+    diagonal part weights like gamma_y when i and n have the same parity and
+    like tau_y otherwise; the sub-band part like gamma_x for even i and like
+    tau_x for odd i.
     """
     n_odd, i_odd = n % 2, i % 2
 
@@ -156,7 +159,7 @@ def _delta_block(A: QuantumCompleteIntersection, n: int, i: int, sub: bool) -> d
                         put((u, a - 1), col, K[u + 1 + n_odd])
                 elif v + 1 < a:
                     put((u, v + 1), col, qp(u + 2 - n_odd) - one)
-        return block
+        return MappingProxyType(block)
 
     return A.cached(("delta-block", n_odd, i_odd, sub), build)
 

@@ -194,7 +194,7 @@ class SparseMatrix:
         """The rows x cols matrix holding blocks placed at offsets.
 
         tiles yields (row offset, col offset, block) triples, each block a
-        dict {(row, col): scalar}.  Every entry is bounds-checked against the
+        mapping {(row, col): scalar}.  Every entry is bounds-checked against the
         whole matrix, and tiles that share an entry raise ValueError.
         """
         entries = {}

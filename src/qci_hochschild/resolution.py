@@ -205,7 +205,7 @@ def preferred_variant(A: QuantumCompleteIntersection) -> str:
     return SIMPLIFIED_A2 if A.a == 2 else SIMPLIFIED_A3
 
 
-def compose(outer: dict, inner: dict) -> dict:
+def compose(outer: dict, inner: dict, products: dict | None = None) -> dict:
     """Entries {(k, i): EnvElement} of the module map outer . inner.
 
     Both maps are entry dicts {(row, col): EnvElement}: entry (j, i) sends
@@ -213,14 +213,25 @@ def compose(outer: dict, inner: dict) -> dict:
     picked up by the inner map multiplies the outer one from the left.
     Entries that sum to zero are dropped, so the composite is zero exactly
     when the dict is empty.
+
+    Each product inner * outer is kept in products, keyed by the values of
+    its two operands, so a pair of values is multiplied once however often
+    it recurs.  A caller composing many maps over few distinct entries
+    passes one dict to every call; by default the memo lives for one call.
     """
+    if products is None:
+        products = {}
     by_col = {}
     for (k, j), env in outer.items():
-        by_col.setdefault(j, []).append((k, env))
+        by_col.setdefault(j, []).append((k, env, frozenset(env.terms.items())))
     out = {}
     for (j, i), e_inner in inner.items():
-        for k, e_outer in by_col.get(j, ()):
-            add_term(out, (k, i), e_inner * e_outer)
+        inner_key = frozenset(e_inner.terms.items())
+        for k, e_outer, outer_key in by_col.get(j, ()):
+            product = products.get((inner_key, outer_key))
+            if product is None:
+                product = products[(inner_key, outer_key)] = e_inner * e_outer
+            add_term(out, (k, i), product)
     return out
 
 

@@ -332,6 +332,9 @@ class CyclotomicField:
         self._phi = cyclotomic_polynomial(order)
         self.degree = len(self._phi) - 1
         self._inverses = {}  # (num, den) -> inverse; few distinct values recur
+        # scalars are immutable, so the field hands out one zero and one one
+        self._zero = self.from_int(0)
+        self._one = self.from_int(1)
 
     def _inverse(self, num, den):
         """Inverse of num / den, by extended Euclid in Q[t] against Phi."""
@@ -358,10 +361,10 @@ class CyclotomicField:
         return _lowest_terms(self, _poly_divmod([0, 1], self._phi)[1], 1)
 
     def zero(self):
-        return self.from_int(0)
+        return self._zero
 
     def one(self):
-        return self.from_int(1)
+        return self._one
 
     def from_int(self, n: int):
         return _lowest_terms(self, [n] + [0] * (self.degree - 1), 1)
@@ -517,16 +520,18 @@ class PrimeField:
             )
         self.modulus = modulus
         self.root_order = root_order
+        self._zero = PrimeFieldScalar(self, 0)
+        self._one = PrimeFieldScalar(self, 1)
 
     @property
     def root(self):
         return PrimeFieldScalar(self, smallest_root_of_unity(self.modulus, self.root_order))
 
     def zero(self):
-        return PrimeFieldScalar(self, 0)
+        return self._zero
 
     def one(self):
-        return PrimeFieldScalar(self, 1)
+        return self._one
 
     def from_int(self, n: int):
         return PrimeFieldScalar(self, n)

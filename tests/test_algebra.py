@@ -18,7 +18,14 @@ from qci_hochschild.algebra import (
     nakayama_twist,
     trace_form,
 )
-from qci_hochschild.resolution import GAMMA_X, beta_element, structure_element
+from qci_hochschild.cohomology import hh_dimension_ext
+from qci_hochschild.resolution import (
+    GAMMA_X,
+    beta_element,
+    differential,
+    structure_element,
+    verify_resolution,
+)
 from qci_hochschild.scalars import cyclotomic_field, prime_field_for, rational_field
 
 
@@ -123,6 +130,20 @@ def test_context_memo_builds_once_and_stores_no_failed_build():
     built = A.cached(("probe",), lambda: calls.append("build") or [1])
     assert A.cached(("probe",), lambda: calls.append("again")) is built
     assert calls == ["fail", "build"]  # the next call after a failure builds again
+
+
+@pytest.mark.parametrize("kind", ("action_block", "product_block"))
+def test_blocks_are_shared_read_only_views(kind):
+    # a context caches one block per element value, so a caller that changed
+    # one would change every later matrix tiled from it on that context
+    A = make(3)
+    env = differential(A, 3)[(0, 0)]
+    block = getattr(A, kind)(env)
+    assert getattr(A, kind)(env) is block
+    with pytest.raises(TypeError):
+        block[next(iter(block))] = A.field.zero()
+    assert hh_dimension_ext(A, 2) == 6
+    assert verify_resolution(A, 3).ok
 
 
 def test_mixed_context_rejected():

@@ -10,6 +10,7 @@ from qci_hochschild.cohomology import (
     BasisError,
     Cochain,
     NotCocycleError,
+    _delta_block,
     delta_matrix,
     dimension_table,
     express,
@@ -85,6 +86,17 @@ def test_ext_dimensions():
     assert hh_dimension_ext(A, 0) == 2
     assert hh_dimension_ext(A, 2) == 6
     assert hh_dimension_ext(A, 5) == 12
+
+
+def test_delta_blocks_are_shared_read_only_views():
+    # the blocks depend on parities only, so one block serves many degrees;
+    # a caller that changed it would change every later delta_matrix
+    A = make(3)
+    block = _delta_block(A, 3, 0, sub=False)
+    assert _delta_block(A, 5, 2, sub=False) is block
+    with pytest.raises(TypeError):
+        block[next(iter(block))] = A.field.zero()
+    assert hh_dimension_ext(A, 2) == hh_dimension_tor(A, 2) == 6
 
 
 @pytest.mark.parametrize("a", (2, 3, 4))

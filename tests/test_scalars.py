@@ -474,6 +474,18 @@ def test_every_scalar_is_a_field_scalar_of_its_handle(field):
         assert isinstance(s, _FieldScalar) and s.field == field, s
 
 
+@pytest.mark.parametrize(
+    "field",
+    [rational_field(1), rational_field(2), cyclotomic_field(3), cyclotomic_field(5), prime_field_for(3)],
+    ids=repr,
+)
+def test_each_field_hands_out_one_zero_and_one_one(field):
+    # scalars are immutable, so every caller may share them
+    assert field.zero() is field.zero() and field.one() is field.one()
+    assert field.zero() == field.from_int(0) and field.one() == field.from_int(1)
+    assert not field.zero() and field.one() * field.root == field.root
+
+
 def test_rational_backend_is_q_as_a_cyclotomic_field():
     for order in (1, 2):
         R = rational_field(order)

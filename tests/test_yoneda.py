@@ -1,6 +1,6 @@
 import pytest
 
-from qci_hochschild.algebra import QuantumCompleteIntersection
+from qci_hochschild.algebra import EnvElement, QuantumCompleteIntersection
 from qci_hochschild.cohomology import Cochain, CohomologyClass, standard_basis
 from qci_hochschild.resolution import OrderError, beta_element
 from qci_hochschild.scalars import cyclotomic_field, prime_field_for, rational_field
@@ -95,16 +95,27 @@ def test_lifting_maps_equal_reference(a, backend):
     assert build_lifting(A, values, 6).maps == reference_lifting(A, values, 6)
 
 
+def class_sum(c1, c2):
+    values = [v1 + v2 for v1, v2 in zip(c1.representative.values, c2.representative.values)]
+    return CohomologyClass(c1.degree, Cochain(c1.representative.algebra, c1.degree, values))
+
+
 @pytest.mark.parametrize("backend", ("cyclotomic", "prime"))
 @pytest.mark.parametrize("a", (2, 3, 4, 5))
 def test_product_cochains_equal_reference_composition(a, backend):
+    # the top lifting keeps only the rows where chi is nonzero; that must be
+    # exact for every left factor: scalar, radical-valued (the eta classes)
+    # and nonzero on several generators
     A = make(a, backend)
     for dm in range(0, 7, 2):
+        basis = standard_basis(A, dm)
+        lefts = list(basis)
+        if dm:
+            lefts += [class_sum(basis[0], basis[-1]), class_sum(basis[1], basis[dm])]
         for dt in range(0, 7 - dm, 2):
-            for l in range(dm + 1):
-                for r in range(dt + 1):
-                    chi = standard_basis(A, dm)[l]
-                    xi = standard_basis(A, dt)[r]
+            for r in range(dt + 1):
+                xi = standard_basis(A, dt)[r]
+                for l, chi in enumerate(lefts):
                     cls, _ = yoneda_product(chi, xi)
                     assert cls.representative.values == compose_with_top(chi, xi), (dm, l, dt, r)
 
@@ -122,6 +133,24 @@ def test_correction_factors_built_once_per_context(monkeypatch):
     build_lifting(make(3), unit_values(A, 2, 0), 2)
     assert len(calls) == 8  # a new context builds its own
 
+
+
+def test_each_distinct_pair_is_multiplied_once_per_check(monkeypatch):
+    # the squares of one check share a product memo keyed by operand values
+    A = make(3)
+    families = [build_lifting(A, unit_values(A, 4, r), 6) for r in range(5)]
+    multiply = EnvElement.__mul__
+    pairs = []
+
+    def counted(self, other):
+        pairs.append((frozenset(self.terms.items()), frozenset(other.terms.items())))
+        return multiply(self, other)
+
+    monkeypatch.setattr(EnvElement, "__mul__", counted)
+    for r, family in enumerate(families):
+        pairs.clear()
+        assert verify_lifting(family).ok
+        assert pairs and len(pairs) == len(set(pairs)), (r, len(pairs), len(set(pairs)))
 
 
 def test_lifting_of_identity_class_a2():
