@@ -2,7 +2,9 @@
 
 Every reduction splits its rows into connected blocks (rows that share a
 column, directly or through other rows) and runs one elimination loop on
-each block over that block's columns only.  The canonical reduced row
+each block over that block's columns only.  A block of one row or one
+column is already in echelon form and is taken without elimination: its
+first row is the pivot row at its first column.  The canonical reduced row
 echelon form of a block-diagonal matrix is the union of its blocks' forms,
 so ranks, kernels, solutions and coset representatives stay deterministic
 and unique.  A rank needs only forward elimination: no pivot row is
@@ -17,6 +19,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import chain
 from operator import itemgetter
+from types import MappingProxyType
 
 
 class NotContainedError(ValueError):
@@ -110,15 +113,25 @@ def _eliminate(rows, cols, reduced):
 def _rref(rows, ncols, reduced=True):
     """Row echelon form of sparse rows (dicts col -> scalar, 0 <= col < ncols).
 
-    Mutates nothing; returns (pivot_columns, pivot_rows), pivot columns
-    increasing, reduced block by block.  With reduced the pivots are units
-    and all pivot columns are cleared from every other row: the unique RREF
-    of the row space, independent of the pivot-row selection order.  Without
-    it the rows are only in echelon form, which is enough for the rank.
+    Rows hold only nonzero values; callers drop zero coordinates before
+    they get here.  Mutates nothing; returns (pivot_columns, pivot_rows),
+    pivot columns increasing, reduced block by block.  With reduced the
+    pivots are units and all pivot columns are cleared from every other row:
+    the unique RREF of the row space, independent of the pivot-row selection
+    order.  Without it the rows are only in echelon form, which is enough
+    for the rank.  A block of one row or one column yields its first row at
+    its first column, normalised only with reduced, as elimination would.
     """
     pivots = []
     for block_rows, block_cols in _blocks([dict(r) for r in rows if r], ncols):
-        pivots.extend(_eliminate(block_rows, block_cols, reduced))
+        if len(block_rows) == 1 or len(block_cols) == 1:
+            col, row = block_cols[0], block_rows[0]
+            if reduced:
+                inv = row[col].inverse()
+                row = {c: v * inv for c, v in row.items()}
+            pivots.append((col, row))
+        else:
+            pivots.extend(_eliminate(block_rows, block_cols, reduced))
     pivots.sort(key=itemgetter(0))
     return [col for col, _ in pivots], [row for _, row in pivots]
 
@@ -137,14 +150,18 @@ class Subspace:
     """Subspace of k^n held in canonical reduced echelon form."""
 
     def __init__(self, ambient, vectors, field):
-        vectors = list(vectors)  # read twice: checked, then reduced
+        rows = []
         for vec in vectors:
-            for c in vec:
+            row = {}
+            for c, v in vec.items():
                 if not 0 <= c < ambient:
                     raise ValueError(f"coordinate {c} outside 0..{ambient - 1}")
+                if v:
+                    row[c] = v
+            rows.append(row)
         self.ambient = ambient
         self.field = field
-        self.pivots, self.basis = _rref(vectors, ambient)
+        self.pivots, self.basis = _rref(rows, ambient)
 
     @property
     def dim(self):
@@ -169,7 +186,7 @@ class Subspace:
 
 
 class SparseMatrix:
-    """Immutable sparse matrix; entries is a dict (row, col) -> nonzero scalar."""
+    """Immutable sparse matrix; entries is a read-only (row, col) -> nonzero scalar map."""
 
     def __init__(self, rows, cols, entries, field):
         for i, j in entries:
@@ -177,7 +194,7 @@ class SparseMatrix:
                 raise ValueError(f"entry {(i, j)} outside a {rows}x{cols} matrix")
         self.rows = rows
         self.cols = cols
-        self.entries = {k: v for k, v in entries.items() if v}
+        self.entries = MappingProxyType({k: v for k, v in entries.items() if v})
         self.field = field
 
     @classmethod
@@ -261,6 +278,8 @@ class SparseMatrix:
         """Matrix-vector product on sparse dict vectors."""
         out = {}
         for j, x in vec.items():
+            if not 0 <= j < self.cols:
+                raise ValueError(f"vector index {j} outside 0..{self.cols - 1}")
             if not x:
                 continue
             for i, v in self._columns[j].items():
@@ -342,5 +361,5 @@ def coset_basis(inner: Subspace, outer: Subspace) -> list:
 
 def stack_rank(subspace: Subspace, vectors, field) -> int:
     """Rank of subspace basis stacked with extra vectors."""
-    rows = [dict(r) for r in subspace.basis] + [dict(v) for v in vectors]
+    rows = subspace.basis + [{c: v for c, v in vec.items() if v} for vec in vectors]
     return len(_rref(rows, subspace.ambient, reduced=False)[0])

@@ -99,6 +99,23 @@ def test_delta_blocks_are_shared_read_only_views():
     assert hh_dimension_ext(A, 2) == hh_dimension_tor(A, 2) == 6
 
 
+@pytest.mark.parametrize(
+    "build, dimension", ((hom_differential, hh_dimension_ext), (delta_matrix, hh_dimension_tor)), ids=("hom", "delta")
+)
+def test_cached_matrix_entries_are_read_only(build, dimension):
+    # each context caches its matrices, so a caller that changed the entries
+    # of one would change every later rank on that context
+    A = make(3)
+    entries = build(A, 3).entries
+    key = next(iter(entries))
+    with pytest.raises(TypeError):
+        entries[key] = A.field.zero()
+    with pytest.raises(TypeError):
+        del entries[key]
+    assert build(A, 3).entries is entries
+    assert dimension(A, 2) == 6
+
+
 @pytest.mark.parametrize("a", (2, 3, 4))
 @pytest.mark.parametrize("backend", ("cyclotomic", "prime"))
 def test_routes_agree_and_match_formula(a, backend):

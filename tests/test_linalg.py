@@ -1,6 +1,6 @@
 import random
 import re
-from itertools import chain
+from itertools import chain, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +18,7 @@ from qci_hochschild.linalg import (
     coset_basis,
     stack_rank,
 )
-from qci_hochschild.scalars import cyclotomic_field, prime_field_for, rational_field
+from qci_hochschild.scalars import CyclotomicScalar, cyclotomic_field, prime_field_for, rational_field
 
 R = rational_field(2)
 
@@ -187,6 +187,25 @@ def test_solve_rejects_index_outside_rows():
     for i in (-1, 2):
         with pytest.raises(ValueError):
             m.solve({i: R.one()})
+
+
+def test_apply_rejects_index_outside_cols():
+    F = prime_field_for(3)  # F_7
+    m = SparseMatrix(2, 2, {(0, 0): F.one(), (1, 1): F.from_int(2)}, F)
+    assert m.apply({1: F.one()}) == {1: F.from_int(2)}
+    for j in (-1, 2, 5):
+        with pytest.raises(ValueError, match=f"vector index {j} outside 0..1"):
+            m.apply({j: F.one()})
+
+
+@pytest.mark.parametrize("field", (cyclotomic_field(3), prime_field_for(3)), ids=repr)
+def test_zero_coordinates_are_dropped_where_vectors_enter(field):
+    zero, one = field.zero(), field.one()
+    s = Subspace(2, [{0: zero, 1: one}], field)
+    assert (s.dim, s.pivots, s.basis) == (1, [1], [{1: one}])
+    assert Subspace(2, [{0: zero}, {0: zero}], field).dim == 0
+    assert stack_rank(Subspace(2, [], field), [{0: zero}], field) == 0
+    assert stack_rank(s, [{0: zero, 1: field.from_int(2)}], field) == 1
 
 
 # -- factor once, solve many ---------------------------------------------------
@@ -402,6 +421,48 @@ def test_blocks_partition_rows_into_connected_blocks(m):
                     reached.update(row)
                     grew = True
         assert reached == set(block_cols)
+
+
+F3 = cyclotomic_field(3)
+Z = F3.root
+
+
+def echelon_case(rows, ncols):
+    """_rref of rows, reduced and forward, checked against the whole-matrix reference."""
+    ref_pivots, ref_rows = whole_matrix_rref(rows, ncols)
+    pivots, reduced_rows = _rref(rows, ncols)
+    assert (pivots, reduced_rows) == (ref_pivots, ref_rows)
+    assert [list(r) for r in reduced_rows] == [list(r) for r in ref_rows]
+    forward_pivots, forward_rows = _rref(rows, ncols, reduced=False)
+    assert forward_pivots == ref_pivots
+    return forward_rows
+
+
+@pytest.mark.parametrize("order", list(permutations(range(3))))
+def test_rref_takes_a_one_column_block_without_elimination(order):
+    held = [F3.from_int(2) * Z, F3.from_int(-3), Z * Z]
+    rows = [{1: held[k]} for k in order] + [{0: F3.one(), 2: Z}]  # a second block of one row
+    forward_rows = echelon_case(rows, 3)
+    assert forward_rows == [{0: F3.one(), 2: Z}, {1: held[order[0]]}]  # the first row, not normalised
+
+
+def test_rref_takes_a_one_row_block_without_elimination():
+    row = {3: Z, 1: F3.from_int(-2), 4: F3.one() + Z}
+    forward_rows = echelon_case([{}, row], 5)
+    assert forward_rows == [row]
+    assert list(forward_rows[0]) == [3, 1, 4]  # the row's own key order
+
+
+def test_dimension_routes_rank_without_inverting(monkeypatch):
+    # every connected block of these matrices has one row or one column
+    calls = []
+    inverse = CyclotomicScalar.inverse
+    monkeypatch.setattr(CyclotomicScalar, "inverse", lambda self: calls.append(self) or inverse(self))
+    A = QuantumCompleteIntersection(5, cyclotomic_field(5))
+    for n in range(1, 9):
+        for build in (hom_differential, delta_matrix):
+            assert build(A, n).rank() > 0
+    assert calls == []
 
 
 @pytest.mark.parametrize("a", (3, 4, 5))
