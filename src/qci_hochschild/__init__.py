@@ -23,7 +23,7 @@ from .algebra import (
     nakayama_twist,
     trace_form,
 )
-from .bar import BarCochain, BarComplex, SizeError
+from .bar import BarComplex, SizeError
 from .cohomology import (
     BasisError,
     Cochain,

@@ -262,9 +262,23 @@ def test_oracle_composite_modulus_is_usage_error(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [["oracle", "--a", "2", "--max-degree", "1", "--modulus", "3317044064679887385961983"],
+     ["dims", "--a", "2", "--max-degree", "1", "--backend", "prime:3317044064679887385961983"]],
+    ids=["oracle", "dims"],
+)
+def test_modulus_past_primality_bound_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "primality is decided only below 3317044064679887385961981" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "modulus, top, dims",
-    [("2147483647", "3", [2, 4, 6, 8]), ("90000049", "1", [2, 4])],
-    ids=["2147483647", "90000049"],
+    [("2147483647", "3", [2, 4, 6, 8]), ("90000049", "1", [2, 4]),
+     ("10000000000000061", "1", [2, 4])],
+    ids=["2147483647", "90000049", "10000000000000061"],
 )
 def test_oracle_large_modulus(capsys, modulus, top, dims):
     # any prime p = 1 (mod a) is exact: residues are Python ints

@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 
 from qci_hochschild import scalars
 from qci_hochschild.scalars import (
+    PRIMALITY_BOUND,
     CyclotomicScalar,
     NoRootError,
     _FieldScalar,
+    _is_prime,
     c_sequence,
     cyclotomic_field,
     cyclotomic_polynomial,
@@ -262,6 +264,45 @@ def test_smallest_prime_modulus():
     assert smallest_prime_modulus(4) == 5
     assert smallest_prime_modulus(5) == 11
     assert smallest_prime_modulus(7) == 29
+
+
+def trial_division_is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_is_prime_agrees_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    assert [n for n in range(10**5 + 1) if _is_prime(n)] == list(sympy.primerange(10**5 + 1))
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        # strong pseudoprimes to the primes 2..7, 2..31 and 2..37: only the
+        # later bases expose them
+        3215031751,
+        3825123056546413051,
+        318665857834031151167461,
+        561,  # Carmichael numbers
+        41041,
+    ],
+)
+def test_is_prime_rejects_pseudoprimes(n):
+    assert not _is_prime(n)
+
+
+def test_is_prime_refuses_at_the_bound():
+    assert _is_prime(10**16 + 61)
+    with pytest.raises(ValueError, match=str(PRIMALITY_BOUND)):
+        _is_prime(PRIMALITY_BOUND)
+    with pytest.raises(ValueError, match=str(PRIMALITY_BOUND)):
+        prime_field(PRIMALITY_BOUND + 2, 2)
+
+
+def test_smallest_prime_modulus_matches_trial_division():
+    for a in range(2, 201):
+        p = next(p for p in range(a + 1, 10**6, a) if trial_division_is_prime(p))
+        assert smallest_prime_modulus(a) == p, a
 
 
 @pytest.mark.parametrize("a", [1, 0, -3])
