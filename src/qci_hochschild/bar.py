@@ -99,11 +99,18 @@ class BarComplex:
         self.size_cap = size_cap
         self.dim = a * a  # dim of A
         self.letters = self.dim - 1  # the non-unit monomials 1..a^2-1
-        self.q = smallest_root_of_unity(self.p, a)
-        self._qpow = [pow(self.q, k, self.p) for k in range(a)]
         self._diff_cache: dict[int, _SparseRows] = {}
 
     # -- monomials: index u*a + v stands for y^u x^v ------------------------
+
+    @cached_property
+    def q(self) -> int:
+        """Primitive a-th root mod p; O(a), so first read after the size check."""
+        return smallest_root_of_unity(self.p, self.a)
+
+    @cached_property
+    def _qpow(self):
+        return [pow(self.q, k, self.p) for k in range(self.a)]
 
     def _mul(self, m1: int, m2: int):
         """(value, monomial index) or None, all mod p."""

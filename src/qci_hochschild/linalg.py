@@ -7,15 +7,17 @@ column is already in echelon form and is taken without elimination: its
 first row is the pivot row at its first column.  The canonical reduced row
 echelon form of a block-diagonal matrix is the union of its blocks' forms,
 so ranks, kernels, solutions and coset representatives stay deterministic
-and unique.  A rank needs only forward elimination: no pivot row is
-normalised and nothing is back-substituted.  Within a block pivot columns
-are visited left to right; among candidate pivot rows the sparsest one wins
-(ties broken by index) to keep fill-in down on the large band matrices this
-package produces.
+and unique.  A rank counts each lone row or column (one sharing no column
+or row with another) as a block of rank 1, and forward elimination, with no
+normalising or back-substitution, serves only the rest.  Within a block
+pivot columns are visited left to right; among candidate pivot rows the
+sparsest one wins (ties broken by index) to keep fill-in down on the large
+band matrices this package produces.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cached_property
 from itertools import chain
 from operator import itemgetter
@@ -119,8 +121,10 @@ def _rref(rows, ncols, reduced=True):
     pivots are units and all pivot columns are cleared from every other row:
     the unique RREF of the row space, independent of the pivot-row selection
     order.  Without it the rows are only in echelon form, which is enough
-    for the rank.  A block of one row or one column yields its first row at
-    its first column, normalised only with reduced, as elimination would.
+    for a rank; _entry_rank passes only the blocks its lone-row and
+    lone-column count leaves.  A block of one row or one column yields its
+    first row at its first column, normalised only with reduced, as
+    elimination would.
     """
     pivots = []
     for block_rows, block_cols in _blocks([dict(r) for r in rows if r], ncols):
@@ -134,6 +138,25 @@ def _rref(rows, ncols, reduced=True):
             pivots.extend(_eliminate(block_rows, block_cols, reduced))
     pivots.sort(key=itemgetter(0))
     return [col for col, _ in pivots], [row for _, row in pivots]
+
+
+def _entry_rank(entries, ncols):
+    """Rank of {(row, col): nonzero}: each lone row or column is a block of
+    rank 1 (a 1x1 block counts once); every other entry lies in a block of at
+    least two rows and two columns, and only those rows are eliminated."""
+    row_len = Counter(map(itemgetter(0), entries))
+    col_len = Counter(map(itemgetter(1), entries))
+    shared_rows = {i for i, j in entries if col_len[j] > 1}
+    wide_cols = {j for i, j in entries if row_len[i] > 1}
+    rank = len(row_len) - len(shared_rows)  # lone rows, the 1x1 blocks among them
+    rank += sum(1 for j, n in col_len.items() if n > 1 and j not in wide_cols)  # lone columns
+    rest = {}
+    for (i, j), v in entries.items():
+        if i in shared_rows and j in wide_cols:
+            rest.setdefault(i, {})[j] = v
+    if rest:
+        rank += len(_rref(rest.values(), ncols, reduced=False)[0])
+    return rank
 
 
 def _reduce_vector(vec, pivots, pivot_rows):
@@ -248,10 +271,10 @@ class SparseMatrix:
 
     @cached_property
     def _rank(self) -> int:
-        return len(_rref(self.row_dicts(), self.cols, reduced=False)[0])
+        return _entry_rank(self.entries, self.cols)
 
     def rank(self) -> int:
-        """Forward elimination only: no normalising, no back-substitution."""
+        """Lone rows and columns counted, forward elimination on the rest."""
         return self._rank
 
     def kernel_basis(self) -> Subspace:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qci_hochschild import bar
 from qci_hochschild.algebra import QuantumCompleteIntersection
 from qci_hochschild.bar import BarComplex, SizeError, _rank, _SparseRows
 from qci_hochschild.cohomology import hh_dimension_ext
@@ -208,6 +209,19 @@ def test_size_cap_refuses_before_the_action_tables(monkeypatch):
     assert calls == []
     BarComplex(3).dimension_rows(0)  # degree 0 has no contractions: only the tables
     assert len(calls) == 2 * 3**4
+
+
+def test_size_cap_refuses_before_the_root_search(monkeypatch):
+    # the root search and the q-power list are O(a); a refused space must not pay for them
+    calls = []
+    search = bar.smallest_root_of_unity
+    monkeypatch.setattr(bar, "smallest_root_of_unity", lambda *args: calls.append(args) or search(*args))
+    with pytest.raises(SizeError):
+        BarComplex(3_000_000).dimension_rows(0)
+    assert calls == []
+    B = BarComplex(3)
+    assert B.dimension_rows(0) == [{"n": 0, "bar": 2}]
+    assert calls == [(B.p, 3)]
 
 
 def test_large_modulus_builds_fast():

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -480,3 +481,16 @@ def test_golden_stdout(capsys, command):
     code, out = run(capsys, *command.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[command]
+
+
+BENCH_DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
+
+
+def test_benchmark_dims_digests(capsys):
+    # the dims workload's invocations, to degree 20 at a = 5 and 7, read-only from the benchmark
+    digests = {k: v for k, v in json.loads(BENCH_DIGESTS.read_text()).items() if k.startswith("dims ")}
+    assert len(digests) >= 4
+    for command, digest in digests.items():
+        code, out = run(capsys, *command.split())
+        assert code == 0, command
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, command

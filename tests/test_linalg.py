@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qci_hochschild import linalg
 from qci_hochschild.algebra import QuantumCompleteIntersection
 from qci_hochschild.cohomology import delta_matrix, hom_differential
 from qci_hochschild.linalg import (
@@ -454,15 +455,60 @@ def test_rref_takes_a_one_row_block_without_elimination():
 
 
 def test_dimension_routes_rank_without_inverting(monkeypatch):
-    # every connected block of these matrices has one row or one column
+    # every connected block of these matrices has one row or one column, so
+    # rank counts them from the entry pattern and eliminates nothing
     calls = []
     inverse = CyclotomicScalar.inverse
     monkeypatch.setattr(CyclotomicScalar, "inverse", lambda self: calls.append(self) or inverse(self))
-    A = QuantumCompleteIntersection(5, cyclotomic_field(5))
-    for n in range(1, 9):
-        for build in (hom_differential, delta_matrix):
-            assert build(A, n).rank() > 0
+    rref = linalg._rref
+    for a in (3, 5, 7):
+        A = QuantumCompleteIntersection(a, cyclotomic_field(a))
+        matrices = [build(A, n) for n in range(1, 13) for build in (hom_differential, delta_matrix)]
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "_rref", lambda *args, **kwargs: calls.append(args) or rref(*args, **kwargs))
+            assert all(m.rank() > 0 for m in matrices)
     assert calls == []
+
+
+F3_PRIME = prime_field_for(3)
+LONE_BLOCK_CASES = {
+    # name: (rows, cols, {(row, col): int}, rank, rows left to eliminate)
+    "one_by_one": (3, 3, {(1, 2): 2}, 1, []),
+    "lone_row_of_3": (3, 4, {(1, 0): 1, (1, 2): -2, (1, 3): 3}, 1, []),
+    "lone_column_of_3": (4, 3, {(0, 1): 1, (1, 1): 2, (3, 1): -1}, 1, []),
+    "row_01_with_row_1": (2, 2, {(0, 0): 1, (0, 1): 1, (1, 1): 2}, 2, [0, 1]),
+    "full_2x2": (2, 2, {(0, 0): 1, (0, 1): 2, (1, 0): 3, (1, 1): 4}, 2, [0, 1]),
+    "rank_one_2x2": (2, 2, {(0, 0): 1, (0, 1): 2, (1, 0): 2, (1, 1): 4}, 1, [0, 1]),
+    "mixed_with_stray_entry": (
+        7, 9,
+        {
+            (0, 0): 3,  # 1x1
+            (1, 1): 1, (1, 2): -1,  # lone row
+            (2, 3): 2, (3, 3): 5,  # lone column
+            (4, 4): 1, (4, 5): 1, (5, 6): 1, (5, 7): -1,  # two lone rows ...
+            (5, 5): 2,  # ... joined into one wide block by a stray entry
+        },
+        5, [4, 5],
+    ),
+}
+
+
+@pytest.mark.parametrize("field", (F3, F3_PRIME), ids=("cyclotomic", "prime"))
+@pytest.mark.parametrize("case", list(LONE_BLOCK_CASES))
+def test_rank_counts_lone_rows_and_columns(monkeypatch, field, case):
+    rows, cols, pattern, rank, eliminated = LONE_BLOCK_CASES[case]
+    m = SparseMatrix(rows, cols, {k: field.from_int(v) for k, v in pattern.items()}, field)
+    handed = []
+    rref = linalg._rref
+
+    def spy(block_rows, *args, **kwargs):
+        block_rows = list(block_rows)
+        handed.extend(block_rows)
+        return rref(block_rows, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "_rref", spy)
+    assert m.rank() == rank == len(whole_matrix_rref(m.row_dicts(), cols)[0])
+    assert handed == [m.row_dicts()[i] for i in eliminated]  # whole blocks, unchanged
 
 
 @pytest.mark.parametrize("a", (3, 4, 5))
