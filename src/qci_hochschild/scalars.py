@@ -26,8 +26,9 @@ class NoRootError(ValueError):
 
 # ---------------------------------------------------------------------------
 # polynomials: the one convolution and the one long division behind Phi_a and
-# every product and inverse in Q(zeta_a).  Products run them on ints: Phi_a is
-# monic with integer coefficients, so its remainders take no quotient.
+# every product and inverse in Q(zeta_a).  Products with no rational factor
+# run them on ints: Phi_a is monic with integer coefficients, so its
+# remainders take no quotient.
 
 
 def _poly_mul(xs, ys):
@@ -237,12 +238,30 @@ class CyclotomicScalar(_FieldScalar):
         return _lowest_terms(self.field, [-x for x in self.num], self.den)
 
     def __mul__(self, other):
+        """Product mod Phi_a; a rational factor only scales the other's numerators.
+
+        A factor is rational when no coefficient above degree 0 is nonzero.
+        Multiplying by one returns the other factor itself.
+        """
         other = self._check(other)
         if other is None:
             return NotImplemented
         field = self.field
-        num = _poly_divmod(_poly_mul(self.num, other.num), field._phi)[1]
-        return _lowest_terms(field, num, self.den * other.den)
+        if other is field._one:
+            return self
+        if self is field._one:
+            return other
+        if not any(other.num[1:]):
+            x, r = self, other
+        elif not any(self.num[1:]):
+            x, r = other, self
+        else:
+            num = _poly_divmod(_poly_mul(self.num, other.num), field._phi)[1]
+            return _lowest_terms(field, num, self.den * other.den)
+        c = r.num[0]
+        if c == r.den:  # in lowest terms only one has its numerator equal to den
+            return x
+        return _lowest_terms(field, [c * n for n in x.num], x.den * r.den)
 
     __rmul__ = __mul__
 

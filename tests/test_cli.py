@@ -483,14 +483,18 @@ def test_golden_stdout(capsys, command):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[command]
 
 
-BENCH_DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
+BENCH_DIGESTS = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "digests.json").read_text()
+)
 
 
-def test_benchmark_dims_digests(capsys):
-    # the dims workload's invocations, to degree 20 at a = 5 and 7, read-only from the benchmark
-    digests = {k: v for k, v in json.loads(BENCH_DIGESTS.read_text()).items() if k.startswith("dims ")}
-    assert len(digests) >= 4
-    for command, digest in digests.items():
-        code, out = run(capsys, *command.split())
-        assert code == 0, command
-        assert hashlib.sha256(out.encode()).hexdigest() == digest, command
+@pytest.mark.parametrize("command", sorted(BENCH_DIGESTS))
+def test_benchmark_digests(command, capsys):
+    # every invocation of the benchmark's workloads, read-only from its digest file
+    code, out = run(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == BENCH_DIGESTS[command]
+
+
+def test_benchmark_digests_cover_every_workload():
+    assert {"dims", "oracle", "table", "verify"} <= {command.split()[0] for command in BENCH_DIGESTS}

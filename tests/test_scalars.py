@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import sys
 import time
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qci_hochschild import scalars
+from qci_hochschild import cli, scalars
 from qci_hochschild.scalars import (
     PRIMALITY_BOUND,
     CyclotomicScalar,
@@ -169,6 +170,55 @@ def test_cyclotomic_integer_form_property(data):
             inv = s.inverse()
             assert inv == s.inverse()
             assert s * inv == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_product_with_a_rational_factor_property(data):
+    a = data.draw(st.integers(1, 12), label="a")
+    F = cyclotomic_field(a)
+    phi = cyclotomic_polynomial(a)
+    fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    xc = data.draw(st.lists(fractions, min_size=F.degree, max_size=F.degree), label="x")
+    x = CyclotomicScalar(F, xc)
+    n = data.draw(st.sampled_from([0, 1, -1]) | st.integers(-9, 9), label="n")
+    c = data.draw(st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]) | fractions, label="c")
+    rationals = [
+        (F.from_int(n), Fraction(n)),
+        (CyclotomicScalar(F, [c] + [0] * (F.degree - 1)), c),
+        (F.one(), Fraction(1)),
+        (F.zero(), Fraction(0)),
+    ]
+    for r, value in rationals:
+        expected = reduce_mod(poly_mul(xc, [value]), phi)
+        for product in (x * r, r * x):
+            assert_lowest_terms(product)
+            assert list(product.coeffs) == expected
+    for product in (x * n, n * x):
+        assert_lowest_terms(product)
+        assert list(product.coeffs) == reduce_mod(poly_mul(xc, [n]), phi)
+    assert x * F.one() is x and F.one() * x is x
+
+
+@pytest.mark.parametrize(
+    "argv",
+    ["table --a 3 --max-degree 4", "verify --a 3 --suite liftings --t-max 1 --s-max 3"],
+)
+def test_products_with_a_rational_factor_skip_the_polynomial_core(argv, monkeypatch):
+    # _inverse also convolves; only the calls made by CyclotomicScalar.__mul__ count
+    real_mul = scalars._poly_mul
+    product_calls = []
+
+    def spy(xs, ys):
+        if sys._getframe(1).f_code is CyclotomicScalar.__mul__.__code__:
+            product_calls.append((xs, ys))
+        return real_mul(xs, ys)
+
+    monkeypatch.setattr(scalars, "_poly_mul", spy)
+    assert cli.main(argv.split()) == 0
+    assert product_calls, "the run multiplied no two irrational scalars"
+    rational = [(xs, ys) for xs, ys in product_calls if not any(xs[1:]) or not any(ys[1:])]
+    assert rational == []
 
 
 def test_inverse_memo_starts_over_when_full(monkeypatch):
