@@ -14,10 +14,16 @@ Homology, ch. 1).  A is local with the non-unit monomials spanning its
 radical, so a product of two non-units is zero or a non-unit: the
 contractions in the coboundary never leave that alphabet.
 
+The coboundary is held by its columns, the images of the basis cochains, and
+the elimination runs over those images, since rank M = rank M^T.  Only dim Z^n
+images reduce to zero, where eliminating the a^2 - 1 times more rows would
+reduce at least (number of rows) - (number of columns) of them to zero.
+
 A is Z^2-graded by deg y^u x^v = (u, v), and the coboundary preserves the
-internal bidegree deg(value) - sum deg(arguments) of a basis cochain.  The
-elimination needs no split by bidegree: a row is only reduced by pivot rows
-keyed at columns it already holds, so rows of different bidegrees never mix.
+internal bidegree deg(value) - sum deg(arguments) of a basis cochain, so an
+image only holds rows of its cochain's bidegree.  The elimination needs no
+split by bidegree: an image is only reduced by pivot images keyed at rows it
+already holds, so images of different bidegrees never mix.
 """
 
 from __future__ import annotations
@@ -34,47 +40,56 @@ class SizeError(RuntimeError):
     """Cochain space exceeds the configured dimension cap."""
 
 
-def _rank(rows, p: int) -> int:
-    """Rank mod p of sparse rows {col: value}, eliminated shortest row first.
+def _rank(vectors, p: int) -> int:
+    """Rank mod p of sparse vectors {index: value}, eliminated shortest first.
 
-    Short rows make short pivots, so later rows gain less fill-in; the rank
-    does not depend on the order.  Each row is reduced by the pivot row at
-    its lowest column while one exists there.  A row left nonzero becomes a
-    pivot row: normalised to lead with 1 and kept, without that leading
-    entry, under its lowest column.
+    Short vectors make short pivots, so later vectors gain less fill-in; the
+    rank does not depend on the order.  Each vector is reduced by the pivot
+    at its highest index while one exists there.  A vector left nonzero
+    becomes a pivot: normalised to lead with 1 and kept, without that
+    leading entry, under its highest index.
     """
     pivots: dict[int, dict[int, int]] = {}
-    for row in sorted(rows, key=len):
-        row = {c: v % p for c, v in row.items() if v % p}
-        while row:
-            col = min(row)
-            lead = row.pop(col)
-            tail = pivots.get(col)
+    for vec in sorted(vectors, key=len):
+        vec = {i: v % p for i, v in vec.items() if v % p}
+        while vec:
+            top = max(vec)
+            lead = vec.pop(top)
+            tail = pivots.get(top)
             if tail is None:
                 inv = pow(lead, -1, p)
-                pivots[col] = {c: v * inv % p for c, v in row.items()}
+                pivots[top] = {i: v * inv % p for i, v in vec.items()}
                 break
-            for c, v in tail.items():  # row -= lead * tail, dropping cancelled entries
-                w = (row.get(c, 0) - lead * v) % p
+            for i, v in tail.items():  # vec -= lead * tail, dropping cancelled entries
+                w = (vec.get(i, 0) - lead * v) % p
                 if w:
-                    row[c] = w
+                    vec[i] = w
                 else:
-                    row.pop(c, None)
+                    vec.pop(i, None)
     return len(pivots)
 
 
 @dataclass(eq=False)
 class _SparseRows:
-    """Row-sparse matrix mod p: rows[i] is a dict {col: value}."""
+    """Sparse matrix mod p held by columns: columns[j] is a dict {row: value}."""
 
     nrows: int
     ncols: int
-    rows: list
+    columns: list
     p: int
 
     @cached_property
     def rank(self) -> int:
-        return _rank(self.rows, self.p)
+        return _rank(self.columns, self.p)
+
+    @cached_property
+    def rows(self) -> list:
+        """The transpose, rows[i] = {col: value}; built only when read."""
+        rows: list = [{} for _ in range(self.nrows)]
+        for j, column in enumerate(self.columns):
+            for i, v in column.items():
+                rows[i][j] = v
+        return rows
 
 
 class BarComplex:
@@ -122,25 +137,29 @@ class BarComplex:
         return (self._qpow[(v1 * u2) % a], (u1 + u2) * a + v1 + v2)
 
     @cached_property
-    def _action_tables(self):
-        """For each monomial s, the lists over r of (m, c) with s.m = c r
-        (left) and m.s = c r (right), or None where no such m exists.
+    def _products(self):
+        """For each monomial m, the lists over non-units s of (s, c, r) with
+        s.m = c r (left) and with m.s = c r (right); for each non-unit t, the
+        splits (b, c, lam) into non-units with b.c = lam t.
 
         2 a^4 products, so the first coboundary builds them after its size
         check: a cochain space over the cap is refused before this cost.
         """
         d = self.dim
-        left = [[None] * d for _ in range(d)]
-        right = [[None] * d for _ in range(d)]
-        for s in range(d):
-            for m in range(d):
+        left: list = [[] for _ in range(d)]
+        right: list = [[] for _ in range(d)]
+        splits: list = [[] for _ in range(d)]
+        for m in range(d):
+            for s in range(d):
                 hit = self._mul(s, m)
-                if hit is not None:
-                    left[s][hit[1]] = (m, hit[0])
+                if hit is not None and s:
+                    left[m].append((s, *hit))
+                    if m:
+                        splits[hit[1]].append((s, m, hit[0]))
                 hit = self._mul(m, s)
-                if hit is not None:
-                    right[s][hit[1]] = (m, hit[0])
-        return left, right
+                if hit is not None and s:
+                    right[m].append((s, *hit))
+        return left, right, splits
 
     def cochain_dim(self, n: int) -> int:
         return self.letters**n * self.dim
@@ -172,17 +191,18 @@ class BarComplex:
         return idx
 
     def bar_differential(self, n: int) -> _SparseRows:
-        """Coboundary from degree n to degree n+1 on the tuple bases.
+        """Coboundary from degree n to degree n+1 on the tuple bases, built as
+        the images d(e) of the basis cochains e, in index order.
 
-        The value of the image cochain on (a_1, ..., a_(n+1)) is the outer
-        left action on the first argument, minus/plus the contractions of
-        adjacent arguments, plus the signed outer right action on the last.
-
-        The column offsets of these terms depend on the tuple only, so they
-        are computed once per tuple and shared by its a^2 rows.  In the
-        normalized basis the contraction columns are pairwise distinct and
-        apart from the two action columns, since their arguments carry a
-        different total degree; only the two actions can land on one column.
+        The image of the cochain with arguments t and value m is the left
+        action on the tuples (s, t), minus/plus the contractions (tuples that
+        split an argument t_k into b.c = lam t_k), plus the signed right
+        action on the tuples (t, s).  The row offsets of the actions depend
+        on m only and those of the contractions on t only, so each is
+        computed once.  The contraction rows are pairwise distinct (two splits
+        first differ where one holds a proper factor b of t_k) and apart from
+        the action rows, whose arguments carry a larger total degree; only the
+        two actions can land on one row.
         """
         if n < 0:
             raise ValueError("degree must be nonnegative")
@@ -191,43 +211,38 @@ class BarComplex:
         if cached is not None:
             return cached
         d, letters, p = self.dim, self.letters, self.p
-        ncols = self.cochain_dim(n)
-        nrows = self.cochain_dim(n + 1)
-        rows: list = [None] * nrows  # every row is set below
-        last_sign = 1 if (n + 1) % 2 == 0 else -1
         power = [letters**k for k in range(n + 2)]
-        left_table, right_table = self._action_tables
-        for idx, tup in enumerate(self._tuples(n + 1)):
-            # contraction k merges a_(k+1), a_(k+2) into digit k of the index
+        last_sign = 1 if (n + 1) % 2 == 0 else -1
+        left, right, splits = self._products
+        # (s, t) has tuple index s - 1 + letters * index(t); (t, s) has index(t) + letters^n (s - 1)
+        left_rows = [[((s - 1) * d + r, c) for s, c, r in left[m]] for m in range(d)]
+        right_rows = [
+            [((s - 1) * power[n] * d + r, last_sign * c % p) for s, c, r in right[m]]
+            for m in range(d)
+        ]
+        columns = []
+        for idx, tup in enumerate(self._tuples(n)):
             contractions = []
-            sign = 1
-            for k in range(n):
-                sign = -sign
-                hit = self._mul(tup[k], tup[k + 1])
-                if hit is None:
-                    continue
-                val, merged = hit
-                inner = (idx % power[k] + (merged - 1) * power[k]
-                         + idx // power[k + 2] * power[k + 1])
-                contractions.append((inner * d, sign * val % p))
-            left_base = idx // letters * d  # f(a_2, ..., a_(n+1))
-            right_base = idx % power[n] * d  # f(a_1, ..., a_n)
-            left, right = left_table[tup[0]], right_table[tup[n]]
-            for r in range(d):
-                row = {base + r: val for base, val in contractions}
-                hit = left[r]
-                if hit is not None:
-                    row[left_base + hit[0]] = hit[1]
-                hit = right[r]
-                if hit is not None:
-                    col = right_base + hit[0]
-                    val = (row.get(col, 0) + last_sign * hit[1]) % p
+            for k in range(n):  # digits b - 1, c - 1 at k, k + 1 in place of t_k
+                rest = idx % power[k] + idx // power[k + 1] * power[k + 2]
+                sign = -1 if k % 2 == 0 else 1
+                for b, c, lam in splits[tup[k]]:
+                    row = rest + (b - 1) * power[k] + (c - 1) * power[k + 1]
+                    contractions.append((row * d, sign * lam % p))
+            left_base, right_base = idx * letters * d, idx * d
+            for m in range(d):
+                column = {base + m: val for base, val in contractions}
+                for offset, val in left_rows[m]:
+                    column[left_base + offset] = val
+                for offset, val in right_rows[m]:
+                    row = right_base + offset
+                    val = (column.get(row, 0) + val) % p
                     if val:
-                        row[col] = val
+                        column[row] = val
                     else:
-                        del row[col]
-                rows[idx * d + r] = row
-        result = _SparseRows(nrows, ncols, rows, p)
+                        del column[row]
+                columns.append(column)
+        result = _SparseRows(self.cochain_dim(n + 1), self.cochain_dim(n), columns, p)
         self._diff_cache[n] = result
         return result
 

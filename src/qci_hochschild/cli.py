@@ -48,7 +48,13 @@ def make_field(name: str, a: int):
     if name == "prime":
         return prime_field_for(a)
     if name.startswith("prime:"):
-        return prime_field(int(name.split(":", 1)[1]), a)
+        try:
+            modulus = int(name.split(":", 1)[1])
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"backend {name!r} is not 'prime:P' with P an integer"
+            ) from None
+        return prime_field(modulus, a)
     raise argparse.ArgumentTypeError(f"unknown backend {name!r}")
 
 

@@ -165,9 +165,9 @@ def test_criterion_6_liftings_and_products():
 
 def test_criterion_7_oracle_agreement():
     times = []
-    for a, top in ((2, 7), (3, 4), (4, 2)):
+    for a, top, cap in ((2, 7, 300_000), (3, 4, 300_000), (4, 2, 300_000), (5, 2, 400_000)):
         t0 = time.time()
-        B = BarComplex(a, size_cap=300_000)  # a=3 n=4 has 294,912 rows
+        B = BarComplex(a, size_cap=cap)  # a=3 n=4 has 294,912 rows, a=5 n=2 has 345,600
         P = prm(a)
         for n in range(top + 1):
             assert B.bar_hh_dimension(n) == hh_dimension_ext(P, n) == 2 * n + 2, (a, n)

@@ -58,6 +58,15 @@ def plain_differential(B, n):
     return rows
 
 
+def transpose(vectors, length):
+    """Transpose of sparse vectors {i: value}: out[i][j] = vectors[j][i], i < length."""
+    out = [{} for _ in range(length)]
+    for j, vec in enumerate(vectors):
+        for i, v in vec.items():
+            out[i][j] = v
+    return out
+
+
 class FullBarComplex(BarComplex):
     """Reference: the full complex Hom(A^(tensor n), A), whose arguments range
     over every monomial, the unit included, built by the plain formula."""
@@ -78,18 +87,18 @@ class FullBarComplex(BarComplex):
     def bar_differential(self, n):
         self._check_cap(n)
         if n not in self._diff_cache:
-            rows = plain_differential(self, n)
-            self._diff_cache[n] = _SparseRows(len(rows), self.cochain_dim(n), rows, self.p)
+            rows, ncols = plain_differential(self, n), self.cochain_dim(n)
+            self._diff_cache[n] = _SparseRows(len(rows), ncols, transpose(rows, ncols), self.p)
         return self._diff_cache[n]
 
 
 def composes_to_zero(d_low, d_high):
-    """d_high . d_low == 0 mod p, composed row by row."""
-    for row in d_high.rows:
+    """d_high . d_low == 0 mod p, composed image by image."""
+    for image in d_low.columns:
         out = {}
-        for j, v in row.items():
-            for c, w in d_low.rows[j].items():
-                out[c] = (out.get(c, 0) + v * w) % d_low.p
+        for j, v in image.items():
+            for i, w in d_high.columns[j].items():
+                out[i] = (out.get(i, 0) + v * w) % d_low.p
         if any(out.values()):
             return False
     return True
@@ -118,12 +127,16 @@ def test_coboundary_squares_to_zero(complex_type):
             assert composes_to_zero(B.bar_differential(n), B.bar_differential(n + 1)), (a, n)
 
 
-@pytest.mark.parametrize("a, modulus, top", [(2, None, 4), (2, 13, 3), (3, None, 2), (4, None, 1)])
+@pytest.mark.parametrize(
+    "a, modulus, top",
+    [(2, None, 4), (2, 13, 3), (3, None, 2), (3, 13, 2), (4, None, 1), (5, None, 1)],
+)
 def test_build_matches_plain_formula(a, modulus, top):
     B = BarComplex(a, modulus=modulus)
     for n in range(top + 1):
         diff = B.bar_differential(n)
         assert diff.nrows == len(diff.rows) == B.cochain_dim(n + 1)
+        assert diff.ncols == len(diff.columns) == B.cochain_dim(n)
         assert diff.rows == plain_differential(B, n), (a, B.p, n)
 
 
@@ -187,9 +200,9 @@ def test_coboundary_preserves_internal_bidegree():
         B = BarComplex(a)
         for n in range(top + 1):
             cols, rows = bidegrees(B, n), bidegrees(B, n + 1)
-            for i, row in enumerate(B.bar_differential(n).rows):
-                for col in row:
-                    assert rows[i] == cols[col], (a, n, i, col)
+            for j, image in enumerate(B.bar_differential(n).columns):
+                for i in image:
+                    assert rows[i] == cols[j], (a, n, i, j)
             assert len(set(cols)) > 1
 
 
@@ -287,7 +300,16 @@ def sparse_rows(draw):
 def test_echelon_rank_matches_exact_rank(case):
     p, ncols, rows = case
     rank = linalg_rank(rows, ncols, prime_field(p, 2))
-    assert _rank(rows, p) == _SparseRows(len(rows), ncols, rows, p).rank == rank
+    # the rows are the columns of the transposed matrix, which has the same rank
+    assert _rank(rows, p) == _SparseRows(ncols, len(rows), columns=rows, p=p).rank == rank
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_rows())
+def test_rank_of_transpose(case):
+    # the oracle ranks the images of basis cochains, the columns of its coboundary
+    p, ncols, rows = case
+    assert _rank(rows, p) == _rank(transpose(rows, ncols), p)
 
 
 @settings(max_examples=200, deadline=None)

@@ -318,6 +318,16 @@ def test_invalid_prime_backend_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("backend", ["prime:x", "prime:", "prime:7:1"])
+def test_prime_backend_without_integer_modulus_is_usage_error(capsys, backend):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["dims", "--a", "3", "--backend", backend])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"backend {backend!r} is not 'prime:P' with P an integer" in err
+    assert "invalid literal" not in err
+
+
 def test_prime_backend_order_one_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["dims", "--a", "1", "--backend", "prime"])
