@@ -106,10 +106,10 @@ class QuantumCompleteIntersection:
         return self.monomial(1, 0)
 
     def xpow(self, k: int) -> AlgebraElement:
-        return self.one() if k == 0 else self.monomial(0, k)
+        return self.monomial(0, k)
 
     def ypow(self, k: int) -> AlgebraElement:
-        return self.one() if k == 0 else self.monomial(k, 0)
+        return self.monomial(k, 0)
 
     def env(self, terms) -> EnvElement:
         return EnvElement(self, terms)

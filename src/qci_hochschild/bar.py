@@ -142,23 +142,20 @@ class BarComplex:
         s.m = c r (left) and with m.s = c r (right); for each non-unit t, the
         splits (b, c, lam) into non-units with b.c = lam t.
 
-        2 a^4 products, so the first coboundary builds them after its size
-        check: a cochain space over the cap is refused before this cost.
+        All are read off one table of the a^4 products, so the first
+        coboundary builds it after its size check: a cochain space over the
+        cap is refused before this cost.
         """
         d = self.dim
-        left: list = [[] for _ in range(d)]
-        right: list = [[] for _ in range(d)]
+        table = [[self._mul(m1, m2) for m2 in range(d)] for m1 in range(d)]
+        left = [[(s, *table[s][m]) for s in range(1, d) if table[s][m]] for m in range(d)]
+        right = [[(s, *table[m][s]) for s in range(1, d) if table[m][s]] for m in range(d)]
         splits: list = [[] for _ in range(d)]
-        for m in range(d):
-            for s in range(d):
-                hit = self._mul(s, m)
-                if hit is not None and s:
-                    left[m].append((s, *hit))
-                    if m:
-                        splits[hit[1]].append((s, m, hit[0]))
-                hit = self._mul(m, s)
-                if hit is not None and s:
-                    right[m].append((s, *hit))
+        for c in range(1, d):
+            for b in range(1, d):
+                hit = table[b][c]
+                if hit is not None:
+                    splits[hit[1]].append((b, c, hit[0]))
         return left, right, splits
 
     def cochain_dim(self, n: int) -> int:

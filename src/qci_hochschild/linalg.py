@@ -1,18 +1,17 @@
 """Sparse exact linear algebra over any scalar backend.
 
-Every reduction splits its rows into connected blocks (rows that share a
-column, directly or through other rows) and runs one elimination loop on
-each block over that block's columns only.  A block of one row or one
-column is already in echelon form and is taken without elimination: its
-first row is the pivot row at its first column.  The canonical reduced row
-echelon form of a block-diagonal matrix is the union of its blocks' forms,
-so ranks, kernels, solutions and coset representatives stay deterministic
-and unique.  A rank counts each lone row or column (one sharing no column
-or row with another) as a block of rank 1, and forward elimination, with no
-normalising or back-substitution, serves only the rest.  Within a block
-pivot columns are visited left to right; among candidate pivot rows the
-sparsest one wins (ties broken by index) to keep fill-in down on the large
-band matrices this package produces.
+Every reduction is the one canonical reduced row echelon form of _rref: it
+splits its rows into connected blocks (rows that share a column, directly or
+through other rows) and _eliminate reduces each block over that block's
+columns only, normalising each pivot row and clearing its column from every
+other row of the block.  The RREF of a block-diagonal matrix is the union of
+its blocks' forms, so ranks, kernels, solutions and coset representatives
+stay deterministic and unique.  A rank counts each lone row or column (one
+sharing no column or row with another) as a block of rank 1 and reduces only
+the rest; a kernel and a solve read the one reduction of [M | I] a matrix
+keeps.  Within a block pivot columns are visited left to right; among
+candidate pivot rows the sparsest one wins (ties broken by index) to keep
+fill-in down on the large band matrices this package produces.
 """
 
 from __future__ import annotations
@@ -40,13 +39,9 @@ def add_term(terms, key, value):
 
 def _subtract(vec, factor, row):
     """vec -= factor * row in place, dropping the entries that cancel."""
+    neg = -factor
     for c, v in row.items():
-        nv = vec.get(c)
-        nv = -factor * v if nv is None else nv - factor * v
-        if nv:
-            vec[c] = nv
-        else:
-            del vec[c]
+        add_term(vec, c, neg * v)
 
 
 def _blocks(rows, ncols):
@@ -79,13 +74,11 @@ def _blocks(rows, ncols):
     return [(block_rows, sorted(block_cols)) for block_rows, block_cols in blocks.values()]
 
 
-def _eliminate(rows, cols, reduced):
+def _eliminate(rows, cols):
     """The elimination loop on one block; yields (pivot column, pivot row).
 
-    Consumes rows.  With reduced, each pivot row is normalised and its
-    column cleared from every other row.  Without it the pivot column is
-    cleared from the rows below only, and the pivot is inverted only when
-    some row below still holds its column.
+    Consumes rows.  Each pivot row is normalised and its column cleared from
+    every other row, the pivot rows already found included.
     """
     remaining = rows
     pivot_rows = []
@@ -99,43 +92,30 @@ def _eliminate(rows, cols, reduced):
         if best is None:
             continue
         row = remaining.pop(best[1])
-        targets = [r for r in chain(remaining, pivot_rows if reduced else ()) if col in r]
-        if reduced or targets:
-            inv = row[col].inverse()
-        if reduced:
-            row = {c: v * inv for c, v in row.items()}
-        for other in targets:
-            factor = other[col]
-            _subtract(other, factor if reduced else factor * inv, row)
+        inv = row[col].inverse()
+        row = {c: v * inv for c, v in row.items()}
+        for other in chain(remaining, pivot_rows):
+            factor = other.get(col)
+            if factor is not None:
+                _subtract(other, factor, row)
         remaining = [r for r in remaining if r]
         pivot_rows.append(row)
         yield col, row
 
 
-def _rref(rows, ncols, reduced=True):
-    """Row echelon form of sparse rows (dicts col -> scalar, 0 <= col < ncols).
+def _rref(rows, ncols):
+    """Canonical RREF of sparse rows (dicts col -> scalar, 0 <= col < ncols).
 
     Rows hold only nonzero values; callers drop zero coordinates before
     they get here.  Mutates nothing; returns (pivot_columns, pivot_rows),
-    pivot columns increasing, reduced block by block.  With reduced the
-    pivots are units and all pivot columns are cleared from every other row:
+    pivot columns increasing, reduced block by block: the pivots are units
+    and every pivot column is cleared from every other row, so the result is
     the unique RREF of the row space, independent of the pivot-row selection
-    order.  Without it the rows are only in echelon form, which is enough
-    for a rank; _entry_rank passes only the blocks its lone-row and
-    lone-column count leaves.  A block of one row or one column yields its
-    first row at its first column, normalised only with reduced, as
-    elimination would.
+    order.
     """
     pivots = []
     for block_rows, block_cols in _blocks([dict(r) for r in rows if r], ncols):
-        if len(block_rows) == 1 or len(block_cols) == 1:
-            col, row = block_cols[0], block_rows[0]
-            if reduced:
-                inv = row[col].inverse()
-                row = {c: v * inv for c, v in row.items()}
-            pivots.append((col, row))
-        else:
-            pivots.extend(_eliminate(block_rows, block_cols, reduced))
+        pivots.extend(_eliminate(block_rows, block_cols))
     pivots.sort(key=itemgetter(0))
     return [col for col, _ in pivots], [row for _, row in pivots]
 
@@ -155,7 +135,7 @@ def _entry_rank(entries, ncols):
         if i in shared_rows and j in wide_cols:
             rest.setdefault(i, {})[j] = v
     if rest:
-        rank += len(_rref(rest.values(), ncols, reduced=False)[0])
+        rank += len(_rref(rest.values(), ncols)[0])
     return rank
 
 
@@ -265,21 +245,20 @@ class SparseMatrix:
         return out
 
     @cached_property
-    def _reduced(self):
-        """(pivot columns, pivot rows) of the canonical RREF."""
-        return _rref(self.row_dicts(), self.cols)
-
-    @cached_property
     def _rank(self) -> int:
         return _entry_rank(self.entries, self.cols)
 
     def rank(self) -> int:
-        """Lone rows and columns counted, forward elimination on the rest."""
+        """Lone rows and columns counted, RREF pivots of the rest."""
         return self._rank
 
     def kernel_basis(self) -> Subspace:
-        """Canonical basis of the right null space; dim = cols - rank."""
-        pivots, rows = self._reduced
+        """Canonical basis of the right null space; dim = cols - rank.
+
+        Reads RREF(M) off the factorization: on M's columns the rows of
+        RREF([M | I]) are RREF(M) and then zero rows, whose pivot is None.
+        """
+        pivots, _, rows = self._factor
         pivot_set = set(pivots)
         vectors = []
         for free in range(self.cols):
@@ -317,9 +296,11 @@ class SparseMatrix:
     def _factor(self):
         """Row operations E with E M in RREF, from one reduction of [M | I].
 
-        Returns (pivots, by_input): pivots[k] is the pivot column of row k of
-        E M, or None when that row of E is a left null vector of M; by_input[i]
-        lists the nonzero entries (k, E[k][i]) of column i of E.
+        Returns (pivots, by_input, rows): pivots[k] is the pivot column of
+        row k of E M, or None when that row of E is a left null vector of M
+        (its pivot lies in the identity part, so it is zero on M's columns);
+        by_input[i] lists the nonzero entries (k, E[k][i]) of column i of E;
+        rows[k] is row k of [E M | E].
         """
         one = self.field.one()
         aug = self.row_dicts()
@@ -331,7 +312,7 @@ class SparseMatrix:
             for c, v in row.items():
                 if c >= self.cols:
                     by_input[c - self.cols].append((k, v))
-        return [col if col < self.cols else None for col in pivots], by_input
+        return [col if col < self.cols else None for col in pivots], by_input, rows
 
     def solve(self, b):
         """Some x with M x = b (free variables zero), or None if inconsistent.
@@ -340,7 +321,7 @@ class SparseMatrix:
         row operations to b.  x is the unique solution whose free variables
         are zero, so it equals what reducing [M | b] would give.
         """
-        pivots, by_input = self._factor
+        pivots, by_input, _ = self._factor
         acc = {}
         for i, v in b.items():
             if not 0 <= i < self.rows:
@@ -362,27 +343,22 @@ def coset_basis(inner: Subspace, outer: Subspace) -> list:
     """Vectors of outer completing a basis of inner to a basis of outer.
 
     Deterministic: walks outer's canonical basis in order and greedily keeps
-    the vectors that are independent of inner plus everything kept so far.
+    the vectors that the span of inner and everything kept so far misses.
     """
     if inner.ambient != outer.ambient:
         raise NotContainedError("ambient dimensions differ")
     if not outer.contains_subspace(inner):
         raise NotContainedError("inner subspace is not contained in outer")
-    pivots = list(inner.pivots)
-    rows = [dict(r) for r in inner.basis]
+    span = inner
     chosen = []
     for vec in outer.basis:
-        residue = _reduce_vector(vec, pivots, rows)
-        if residue:
-            lead = min(residue)
-            inv = residue[lead].inverse()
-            pivots.append(lead)
-            rows.append({c: v * inv for c, v in residue.items()})
+        if not span.contains(vec):
             chosen.append(dict(vec))
+            span = Subspace(span.ambient, span.basis + [vec], span.field)
     return chosen
 
 
 def stack_rank(subspace: Subspace, vectors, field) -> int:
     """Rank of subspace basis stacked with extra vectors."""
     rows = subspace.basis + [{c: v for c, v in vec.items() if v} for vec in vectors]
-    return len(_rref(rows, subspace.ambient, reduced=False)[0])
+    return len(_rref(rows, subspace.ambient)[0])

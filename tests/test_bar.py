@@ -211,8 +211,8 @@ def test_size_cap():
         BarComplex(3, size_cap=1000).bar_differential(3)
 
 
-def test_size_cap_refuses_before_the_action_tables(monkeypatch):
-    # the tables cost 2 a^4 products; a refused space must not pay for them
+def test_size_cap_refuses_before_the_product_table(monkeypatch):
+    # the table costs a^4 products; a refused space must not pay for them
     calls = []
     mul = BarComplex._mul
     monkeypatch.setattr(BarComplex, "_mul", lambda self, *args: calls.append(1) or mul(self, *args))
@@ -220,8 +220,8 @@ def test_size_cap_refuses_before_the_action_tables(monkeypatch):
     with pytest.raises(SizeError):
         B.dimension_rows(0)
     assert calls == []
-    BarComplex(3).dimension_rows(0)  # degree 0 has no contractions: only the tables
-    assert len(calls) == 2 * 3**4
+    BarComplex(3).dimension_rows(0)  # degree 0 has no contractions: only the table
+    assert len(calls) == 3**4
 
 
 def test_size_cap_refuses_before_the_root_search(monkeypatch):

@@ -153,3 +153,29 @@ def test_constructor_reader_sees_planted_calls():
         "t = SparseMatrix.tiled(2, 2, [], F)\n"
     )
     assert matrix_constructor_calls(planted) == [1, 2]
+
+
+def inverse_calls(tree):
+    """Number of .inverse() calls anywhere under the syntax tree `tree`."""
+    return sum(
+        1
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "inverse"
+    )
+
+
+def test_linalg_eliminates_in_one_place():
+    # one reduction: only _eliminate inverts a pivot, and neither it nor
+    # _rref takes a mode beyond the rows and the columns
+    tree = ast.parse(source("linalg"))
+    functions = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert inverse_calls(tree) == inverse_calls(functions["_eliminate"]) > 0
+    for name, params in (("_rref", ["rows", "ncols"]), ("_eliminate", ["rows", "cols"])):
+        args = functions[name].args
+        assert [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs] == params, name
+        assert args.vararg is None and args.kwarg is None, name
+
+
+def test_inverse_reader_sees_planted_calls():
+    planted = "def f(x):\n    return x.inverse()\n\nclass C:\n    g = lambda self, y: 1 / y.inverse()\n"
+    assert inverse_calls(ast.parse(planted)) == 2

@@ -393,13 +393,82 @@ def test_rref_does_not_depend_on_row_order(m, rng):
 @settings(max_examples=200, deadline=None)
 @given(sparse_matrices())
 def test_forward_rank_equals_rref_pivots_and_transpose_rank(m):
-    ref_pivots, ref_rows = whole_matrix_rref(m.row_dicts(), m.cols)
-    pivots, rows = _rref(m.row_dicts(), m.cols, reduced=False)
-    assert pivots == ref_pivots
-    for col, row in zip(pivots, rows):  # echelon rows of the same row space
-        assert min(row) == col
-        assert not _reduce_vector(row, ref_pivots, ref_rows)
+    ref_pivots, _ = whole_matrix_rref(m.row_dicts(), m.cols)
     assert m.rank() == len(ref_pivots) == transpose(m).rank()
+
+
+def reference_kernel(m):
+    """Reference: the kernel read off the whole-matrix RREF, one vector per free column."""
+    pivots, rows = whole_matrix_rref(m.row_dicts(), m.cols)
+    vectors = []
+    for free in range(m.cols):
+        if free not in pivots:
+            vec = {free: m.field.one()}
+            for col, row in zip(pivots, rows):
+                if free in row:
+                    vec[col] = -row[free]
+            vectors.append(vec)
+    return Subspace(m.cols, vectors, m.field)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_matrices())
+def test_kernel_basis_equals_whole_matrix_reference(m):
+    kernel, expected = m.kernel_basis(), reference_kernel(m)
+    assert kernel == expected
+    assert [list(r) for r in kernel.basis] == [list(r) for r in expected.basis]
+    assert kernel.dim == m.cols - m.rank()
+
+
+def reference_coset_basis(inner, outer):
+    """Reference: reduce each vector of outer's basis modulo inner and the
+    normalised residues kept so far; keep it when a residue is left."""
+    pivots = list(inner.pivots)
+    rows = [dict(r) for r in inner.basis]
+    chosen = []
+    for vec in outer.basis:
+        residue = _reduce_vector(vec, pivots, rows)
+        if residue:
+            lead = min(residue)
+            inv = residue[lead].inverse()
+            pivots.append(lead)
+            rows.append({c: v * inv for c, v in residue.items()})
+            chosen.append(dict(vec))
+    return chosen
+
+
+@st.composite
+def nested_subspaces(draw):
+    """Subspaces inner <= outer of k^n: outer is spanned by inner's
+    generators and a few more, some of them combinations of earlier ones."""
+    field = draw(st.sampled_from(FIELDS))
+    n = draw(st.integers(1, 6))
+
+    def vector():
+        return {j: v for j in range(n) if (v := draw(scalars(field)))}
+
+    inner = [vector() for _ in range(draw(st.integers(0, 3)))]
+    extra = [vector() for _ in range(draw(st.integers(0, 4)))]
+    for _ in range(draw(st.integers(0, 2))):
+        pool = inner + extra
+        if pool:
+            u, w = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
+            c = draw(scalars(field))
+            combo = dict(u)
+            for j, v in w.items():
+                combo[j] = combo.get(j, field.zero()) + c * v
+            extra.append({j: v for j, v in combo.items() if v})
+    return Subspace(n, inner, field), Subspace(n, inner + extra, field)
+
+
+@settings(max_examples=200, deadline=None)
+@given(nested_subspaces())
+def test_coset_basis_equals_greedy_reference(pair):
+    inner, outer = pair
+    chosen = coset_basis(inner, outer)
+    assert chosen == reference_coset_basis(inner, outer)
+    assert len(chosen) == outer.dim - inner.dim
+    assert Subspace(outer.ambient, inner.basis + chosen, outer.field) == outer
 
 
 @settings(max_examples=200, deadline=None)
@@ -429,29 +498,23 @@ Z = F3.root
 
 
 def echelon_case(rows, ncols):
-    """_rref of rows, reduced and forward, checked against the whole-matrix reference."""
+    """_rref of rows checked against the whole-matrix reference, key order included."""
     ref_pivots, ref_rows = whole_matrix_rref(rows, ncols)
     pivots, reduced_rows = _rref(rows, ncols)
     assert (pivots, reduced_rows) == (ref_pivots, ref_rows)
     assert [list(r) for r in reduced_rows] == [list(r) for r in ref_rows]
-    forward_pivots, forward_rows = _rref(rows, ncols, reduced=False)
-    assert forward_pivots == ref_pivots
-    return forward_rows
 
 
 @pytest.mark.parametrize("order", list(permutations(range(3))))
-def test_rref_takes_a_one_column_block_without_elimination(order):
+def test_rref_of_a_one_column_block_equals_reference(order):
     held = [F3.from_int(2) * Z, F3.from_int(-3), Z * Z]
     rows = [{1: held[k]} for k in order] + [{0: F3.one(), 2: Z}]  # a second block of one row
-    forward_rows = echelon_case(rows, 3)
-    assert forward_rows == [{0: F3.one(), 2: Z}, {1: held[order[0]]}]  # the first row, not normalised
+    echelon_case(rows, 3)
 
 
-def test_rref_takes_a_one_row_block_without_elimination():
+def test_rref_of_a_one_row_block_equals_reference():
     row = {3: Z, 1: F3.from_int(-2), 4: F3.one() + Z}
-    forward_rows = echelon_case([{}, row], 5)
-    assert forward_rows == [row]
-    assert list(forward_rows[0]) == [3, 1, 4]  # the row's own key order
+    echelon_case([{}, row], 5)
 
 
 def test_dimension_routes_rank_without_inverting(monkeypatch):
