@@ -24,6 +24,12 @@ internal bidegree deg(value) - sum deg(arguments) of a basis cochain, so an
 image only holds rows of its cochain's bidegree.  The elimination needs no
 split by bidegree: an image is only reduced by pivot images keyed at rows it
 already holds, so images of different bidegrees never mix.
+
+Each degree skips the columns at the pivot indices of the degree below.  A
+pivot of im d_(n-1) is e_t + (entries below t) and lies in ker d_n, so column
+t of d_n is a combination of lower columns; by induction on t the other
+columns span im d_n.  Of those kept, only dim HH^n images reduce to zero,
+where each skipped one would fill in and then cancel.
 """
 
 from __future__ import annotations
@@ -40,10 +46,13 @@ class SizeError(RuntimeError):
     """Cochain space exceeds the configured dimension cap."""
 
 
-def _rank(vectors, p: int) -> int:
-    """Rank mod p of sparse vectors {index: value}, eliminated shortest first.
+def _rank(vectors, p: int) -> set:
+    """Pivot indices of sparse vectors {index: value} mod p, each value in 1..p-1.
 
-    Short vectors make short pivots, so later vectors gain less fill-in; the
+    Returns the set of indices at which the pivots lead, one per unit of
+    rank, so its length is the rank over F_p.  The input is copied, not
+    reduced, and never changed.  The vectors are eliminated shortest first:
+    short vectors make short pivots, so later vectors gain less fill-in; the
     rank does not depend on the order.  Each vector is reduced by the pivot
     at its highest index while one exists there.  A vector left nonzero
     becomes a pivot: normalised to lead with 1 and kept, without that
@@ -51,7 +60,7 @@ def _rank(vectors, p: int) -> int:
     """
     pivots: dict[int, dict[int, int]] = {}
     for vec in sorted(vectors, key=len):
-        vec = {i: v % p for i, v in vec.items() if v % p}
+        vec = dict(vec)
         while vec:
             top = max(vec)
             lead = vec.pop(top)
@@ -66,7 +75,7 @@ def _rank(vectors, p: int) -> int:
                     vec[i] = w
                 else:
                     vec.pop(i, None)
-    return len(pivots)
+    return set(pivots)
 
 
 @dataclass(eq=False)
@@ -77,10 +86,6 @@ class _SparseRows:
     ncols: int
     columns: list
     p: int
-
-    @cached_property
-    def rank(self) -> int:
-        return _rank(self.columns, self.p)
 
     @cached_property
     def rows(self) -> list:
@@ -115,6 +120,7 @@ class BarComplex:
         self.dim = a * a  # dim of A
         self.letters = self.dim - 1  # the non-unit monomials 1..a^2-1
         self._diff_cache: dict[int, _SparseRows] = {}
+        self._tops_cache: dict[int, set] = {}
 
     # -- monomials: index u*a + v stands for y^u x^v ------------------------
 
@@ -159,6 +165,8 @@ class BarComplex:
         return left, right, splits
 
     def cochain_dim(self, n: int) -> int:
+        if n < 0:
+            raise ValueError("degree must be nonnegative")
         return self.letters**n * self.dim
 
     def _check_cap(self, n: int):
@@ -172,8 +180,9 @@ class BarComplex:
         """All n-tuples of non-unit monomial indices, in mixed-radix order:
         the first argument varies fastest, so the k-th tuple has index k."""
         top = self.letters
+        count = self.cochain_dim(n) // self.dim
         tup = [1] * n
-        for _ in range(top**n):
+        for _ in range(count):
             yield tuple(tup)
             for k in range(n):
                 tup[k] += 1
@@ -201,8 +210,6 @@ class BarComplex:
         the action rows, whose arguments carry a larger total degree; only the
         two actions can land on one row.
         """
-        if n < 0:
-            raise ValueError("degree must be nonnegative")
         self._check_cap(n)
         cached = self._diff_cache.get(n)
         if cached is not None:
@@ -243,10 +250,22 @@ class BarComplex:
         self._diff_cache[n] = result
         return result
 
+    def _pivot_tops(self, n: int) -> set:
+        """Pivot indices of im d_n, ranked over the columns of d_n that are not
+        pivot indices of im d_(n-1) (see the module docstring).  d_n is built
+        first, so the size cap refuses it before any lower degree is ranked."""
+        tops = self._tops_cache.get(n)
+        if tops is None:
+            diff = self.bar_differential(n)
+            skip = self._pivot_tops(n - 1) if n >= 1 else set()
+            kept = (column for j, column in enumerate(diff.columns) if j not in skip)
+            tops = self._tops_cache[n] = _rank(kept, self.p)
+        return tops
+
     def bar_hh_dimension(self, n: int) -> int:
         """Cohomology dimension in degree n, entirely within this oracle."""
-        kernel = self.cochain_dim(n) - self.bar_differential(n).rank
-        image = self.bar_differential(n - 1).rank if n >= 1 else 0
+        kernel = self.cochain_dim(n) - len(self._pivot_tops(n))
+        image = len(self._pivot_tops(n - 1)) if n >= 1 else 0
         return kernel - image
 
     def dimension_rows(self, max_degree: int):

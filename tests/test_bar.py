@@ -23,12 +23,17 @@ def test_cochain_space_dimensions():
     assert B3.cochain_dim(3) == 4608
 
 
-def plain_differential(B, n):
+def plain_differential(B, n, flip_last_sign=False, contraction_sign=None):
     """Reference: the coboundary formula term by term on B's own tuple layout,
-    every term accumulated, so that it holds whichever terms share a column."""
+    every term accumulated, so that it holds whichever terms share a column.
+
+    flip_last_sign and contraction_sign (one sign for every contraction)
+    plant errors for negative controls."""
     d, a, p = B.dim, B.a, B.p
     qpow = [pow(B.q, k, p) for k in range(a)]
     last_sign = 1 if (n + 1) % 2 == 0 else -1
+    if flip_last_sign:
+        last_sign = -last_sign
     rows = []
     for tup in B._tuples(n + 1):
         for r in range(d):
@@ -44,7 +49,7 @@ def plain_differential(B, n):
                 put(B._tuple_index(tup[1:]) * d + m, qpow[(v1 * (ur - u1)) % a])
             sign = 1
             for k in range(n):
-                sign = -sign
+                sign = -sign if contraction_sign is None else contraction_sign
                 hit = B._mul(tup[k], tup[k + 1])
                 if hit is not None:
                     val, merged = hit
@@ -67,6 +72,17 @@ def transpose(vectors, length):
     return out
 
 
+def reduced(vectors, p):
+    """The vectors with every value reduced mod p and zeros dropped: _rank's input."""
+    return [{i: v % p for i, v in vec.items() if v % p} for vec in vectors]
+
+
+def from_rows(B, n, rows):
+    """The degree-n coboundary of B held by columns, from its dict rows."""
+    ncols = B.cochain_dim(n)
+    return _SparseRows(len(rows), ncols, transpose(rows, ncols), B.p)
+
+
 class FullBarComplex(BarComplex):
     """Reference: the full complex Hom(A^(tensor n), A), whose arguments range
     over every monomial, the unit included, built by the plain formula."""
@@ -87,8 +103,7 @@ class FullBarComplex(BarComplex):
     def bar_differential(self, n):
         self._check_cap(n)
         if n not in self._diff_cache:
-            rows, ncols = plain_differential(self, n), self.cochain_dim(n)
-            self._diff_cache[n] = _SparseRows(len(rows), ncols, transpose(rows, ncols), self.p)
+            self._diff_cache[n] = from_rows(self, n, plain_differential(self, n))
         return self._diff_cache[n]
 
 
@@ -102,6 +117,31 @@ def composes_to_zero(d_low, d_high):
         if any(out.values()):
             return False
     return True
+
+
+PLANTED = {
+    "last sign flipped": {"flip_last_sign": True},
+    "contractions all -1": {"contraction_sign": -1},
+}
+
+
+@pytest.mark.parametrize("plant", sorted(PLANTED))
+@pytest.mark.parametrize("a, top", [(2, 4), (3, 2)])
+def test_planted_coboundary_errors_are_caught(monkeypatch, plant, a, top):
+    # negative control: a coboundary with d.d != 0 must fail the d.d check and
+    # read a wrong dimension somewhere, although the skipped columns change
+    # the wrong numbers it reads
+    def planted(self, n):
+        if n not in self._diff_cache:
+            self._diff_cache[n] = from_rows(self, n, plain_differential(self, n, **PLANTED[plant]))
+        return self._diff_cache[n]
+
+    monkeypatch.setattr(BarComplex, "bar_differential", planted)
+    B = BarComplex(a)
+    assert not all(
+        composes_to_zero(B.bar_differential(n - 1), B.bar_differential(n)) for n in range(1, top + 1)
+    )
+    assert any(B.bar_hh_dimension(n) != 2 * n + 2 for n in range(top + 1))
 
 
 def test_full_reference_layout():
@@ -169,15 +209,37 @@ def linalg_rank(rows, ncols, field):
     return SparseMatrix(len(rows), ncols, entries, field).rank()
 
 
+# the last two, with (3, None, 2), are the ranges of the oracle workload
 @pytest.mark.parametrize(
-    "a, modulus, top", [(2, None, 4), (2, 5, 4), (3, None, 2), (3, 13, 2)]
+    "a, modulus, top",
+    [(2, None, 4), (2, 5, 4), (3, None, 2), (3, 13, 2), (2, None, 5), (5, None, 1)],
 )
 def test_block_rank_matches_full_reduction(a, modulus, top):
+    # the elimination of every column, and that of only the columns left open
+    # by the degree below, both give the rank of the whole coboundary; exactly
+    # rank d_(n-1) columns are skipped
     B = BarComplex(a, modulus=modulus)
     field = prime_field(B.p, a)
+    below = 0
     for n in range(top + 1):
         diff = B.bar_differential(n)
-        assert diff.rank == linalg_rank(diff.rows, diff.ncols, field), (a, B.p, n)
+        rank = linalg_rank(diff.rows, diff.ncols, field)
+        assert len(_rank(diff.columns, B.p)) == len(B._pivot_tops(n)) == rank, (a, B.p, n)
+        skipped = B._pivot_tops(n - 1) if n >= 1 else set()
+        assert sum(j in skipped for j in range(diff.ncols)) == below, (a, B.p, n)
+        below = rank
+
+
+@pytest.mark.parametrize(
+    "a, modulus, top",
+    [(2, None, 5), (3, None, 2), (5, None, 1), (2, 13, 4), (3, 13, 2), (4, 13, 1)],
+)
+def test_stored_values_are_reduced(a, modulus, top):
+    # _rank copies its vectors without reducing them: every stored value is in 1..p-1
+    B = BarComplex(a, modulus=modulus)
+    for n in range(top + 1):
+        columns = B.bar_differential(n).columns
+        assert all(0 < v < B.p for column in columns for v in column.values()), (a, B.p, n)
 
 
 def bidegrees(B, n):
@@ -204,6 +266,13 @@ def test_coboundary_preserves_internal_bidegree():
                 for i in image:
                     assert rows[i] == cols[j], (a, n, i, j)
             assert len(set(cols)) > 1
+
+
+def test_negative_degree_rejected():
+    B = BarComplex(2)
+    for call in (B.cochain_dim, lambda n: next(B._tuples(n)), B.bar_differential, B.bar_hh_dimension):
+        with pytest.raises(ValueError, match="degree must be nonnegative"):
+            call(-1)
 
 
 def test_size_cap():
@@ -235,6 +304,19 @@ def test_size_cap_refuses_before_the_root_search(monkeypatch):
     B = BarComplex(3)
     assert B.dimension_rows(0) == [{"n": 0, "bar": 2}]
     assert calls == [(B.p, 3)]
+
+
+def test_size_cap_refuses_before_any_lower_rank(monkeypatch):
+    # degree 3 of a = 3 fits a cap of 5,000 but its coboundary does not
+    calls = []
+    rank = bar._rank
+    monkeypatch.setattr(bar, "_rank", lambda *args: calls.append(1) or rank(*args))
+    B = BarComplex(3, size_cap=5000)
+    with pytest.raises(SizeError):
+        B.bar_hh_dimension(3)
+    assert calls == []
+    assert B.bar_hh_dimension(2) == 6
+    assert len(calls) == 3
 
 
 def test_large_modulus_builds_fast():
@@ -274,7 +356,7 @@ def test_row_reducer_against_exact_rank():
         rows = [
             {c: rng.randint(0, p - 1) for c in range(ncols)} for _ in range(rng.randint(1, 8))
         ]
-        assert _rank(rows, p) == linalg_rank(rows, ncols, field)
+        assert len(_rank(reduced(rows, p), p)) == linalg_rank(rows, ncols, field)
 
 
 @st.composite
@@ -300,8 +382,7 @@ def sparse_rows(draw):
 def test_echelon_rank_matches_exact_rank(case):
     p, ncols, rows = case
     rank = linalg_rank(rows, ncols, prime_field(p, 2))
-    # the rows are the columns of the transposed matrix, which has the same rank
-    assert _rank(rows, p) == _SparseRows(ncols, len(rows), columns=rows, p=p).rank == rank
+    assert len(_rank(reduced(rows, p), p)) == rank
 
 
 @settings(max_examples=200, deadline=None)
@@ -309,7 +390,8 @@ def test_echelon_rank_matches_exact_rank(case):
 def test_rank_of_transpose(case):
     # the oracle ranks the images of basis cochains, the columns of its coboundary
     p, ncols, rows = case
-    assert _rank(rows, p) == _rank(transpose(rows, ncols), p)
+    rows = reduced(rows, p)
+    assert len(_rank(rows, p)) == len(_rank(transpose(rows, ncols), p))
 
 
 @settings(max_examples=200, deadline=None)
@@ -319,4 +401,5 @@ def test_echelon_row_order_invariance(case, data):
     # elimination order among rows of equal length: the rank stays put
     p, ncols, rows = case
     order = data.draw(st.permutations(range(len(rows))))
-    assert _rank([rows[i] for i in order], p) == _rank(rows, p)
+    rows = reduced(rows, p)
+    assert len(_rank([rows[i] for i in order], p)) == len(_rank(rows, p))
