@@ -93,17 +93,22 @@ def hom_differential(A: QuantumCompleteIntersection, n: int) -> SparseMatrix:
 
     The band entry d_n(j, i) contributes the action block of that band
     element at row offset i a^2 and column offset j a^2; every entry comes
-    from the resolution through the bimodule action.
+    from the resolution through the bimodule action.  The block is looked up
+    once for each distinct band-element object, which the rewritten variants
+    share among all columns of a parity class.
     """
     if n < 1:
         raise ValueError("transpose differentials start in degree 1")
 
     def build():
         a2 = A.dim
-        tiles = (
-            (i * a2, j * a2, A.action_block(env))
-            for (j, i), env in differential(A, n, preferred_variant(A)).items()
-        )
+        blocks = {}  # id(band element) -> its action block; the differential holds the elements
+        tiles = []
+        for (j, i), env in differential(A, n, preferred_variant(A)).items():
+            block = blocks.get(id(env))
+            if block is None:
+                block = blocks[id(env)] = A.action_block(env)
+            tiles.append((i * a2, j * a2, block))
         return SparseMatrix.tiled((n + 1) * a2, n * a2, tiles, A.field)
 
     return A.cached(("homdiff", n), build)
@@ -179,9 +184,11 @@ def delta_matrix(A: QuantumCompleteIntersection, n: int) -> SparseMatrix:
 
     def build():
         a2 = A.dim
-        diagonal = [(i * a2, i * a2, _delta_block(A, n, i, sub=False)) for i in range(n)]
-        sub = [((i - 1) * a2, i * a2, _delta_block(A, n, i, sub=True)) for i in range(1, n + 1)]
-        return SparseMatrix.tiled(n * a2, (n + 1) * a2, diagonal + sub, A.field)
+        diagonal = [_delta_block(A, n, i, sub=False) for i in (0, 1)]
+        sub = [_delta_block(A, n, i, sub=True) for i in (0, 1)]
+        tiles = [(i * a2, i * a2, diagonal[i % 2]) for i in range(n)]
+        tiles += [((i - 1) * a2, i * a2, sub[i % 2]) for i in range(1, n + 1)]
+        return SparseMatrix.tiled(n * a2, (n + 1) * a2, tiles, A.field)
 
     return A.cached(("delta", n), build)
 

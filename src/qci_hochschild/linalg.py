@@ -139,6 +139,52 @@ def _entry_rank(entries, ncols):
     return rank
 
 
+def _place(rows, cols, tiles):
+    """The entries of a rows x cols matrix holding (row offset, col offset,
+    block) tiles, each block a mapping {(row, col): scalar}.
+
+    Each distinct block is scanned once, for its nonzero entries and for the
+    extent of all its keys; a tile then only compares that extent with the
+    matrix.  A tile reaching outside names its first entry that does.
+    """
+    scanned = {}  # id(block) -> (block, nonzero items, extent); holding block keeps its id
+    entries = {}
+    placed = 0
+    for row_offset, col_offset, block in tiles:
+        seen = scanned.get(id(block))
+        if seen is None:
+            seen = scanned[id(block)] = (block, *_scan(block))
+        _, items, extent = seen
+        if extent is not None:
+            low_row, high_row, low_col, high_col = extent
+            if not (
+                0 <= row_offset + low_row and row_offset + high_row < rows
+                and 0 <= col_offset + low_col and col_offset + high_col < cols
+            ):
+                i, j = next(
+                    (row_offset + i, col_offset + j) for i, j in block
+                    if not (0 <= row_offset + i < rows and 0 <= col_offset + j < cols)
+                )
+                raise ValueError(f"entry {(i, j)} outside a {rows}x{cols} matrix")
+        for (i, j), v in items:
+            entries[(row_offset + i, col_offset + j)] = v
+        placed += len(items)
+    if len(entries) != placed:
+        raise ValueError(f"tiles of a {rows}x{cols} matrix overlap")
+    return entries
+
+
+def _scan(block):
+    """(nonzero items, (lowest row, highest row, lowest col, highest col)) of
+    a block; the extent covers its zero entries too and is None when empty."""
+    items = [(key, v) for key, v in block.items() if v]
+    if not block:
+        return items, None
+    row_keys = [i for i, _ in block]
+    col_keys = [j for _, j in block]
+    return items, (min(row_keys), max(row_keys), min(col_keys), max(col_keys))
+
+
 def _reduce_vector(vec, pivots, pivot_rows):
     """Residue of a sparse vector modulo the span of RREF rows."""
     vec = dict(vec)
@@ -192,12 +238,12 @@ class SparseMatrix:
     """Immutable sparse matrix; entries is a read-only (row, col) -> nonzero scalar map."""
 
     def __init__(self, rows, cols, entries, field):
-        for i, j in entries:
-            if not (0 <= i < rows and 0 <= j < cols):
-                raise ValueError(f"entry {(i, j)} outside a {rows}x{cols} matrix")
+        self._hold(rows, cols, [(0, 0, entries)], field)
+
+    def _hold(self, rows, cols, tiles, field):
         self.rows = rows
         self.cols = cols
-        self.entries = MappingProxyType({k: v for k, v in entries.items() if v})
+        self.entries = MappingProxyType(_place(rows, cols, tiles))
         self.field = field
 
     @classmethod
@@ -214,18 +260,15 @@ class SparseMatrix:
         """The rows x cols matrix holding blocks placed at offsets.
 
         tiles yields (row offset, col offset, block) triples, each block a
-        mapping {(row, col): scalar}.  Every entry is bounds-checked against the
-        whole matrix, and tiles that share an entry raise ValueError.
+        mapping {(row, col): scalar}.  Each distinct block is checked once:
+        its zeros are dropped and its row and column extent is compared with
+        the whole matrix at every offset it is placed at.  A key outside the
+        matrix, zero or not, and tiles that share a nonzero entry raise
+        ValueError.
         """
-        entries = {}
-        placed = 0
-        for row_offset, col_offset, block in tiles:
-            placed += len(block)
-            for (i, j), v in block.items():
-                entries[(row_offset + i, col_offset + j)] = v
-        if len(entries) != placed:
-            raise ValueError(f"tiles of a {rows}x{cols} matrix overlap")
-        return cls(rows, cols, entries, field)
+        matrix = cls.__new__(cls)
+        matrix._hold(rows, cols, tiles, field)
+        return matrix
 
     @classmethod
     def identity(cls, n, field):

@@ -15,6 +15,10 @@ variants agree entry-wise, and verify_resolution checks this along with
 d . d = 0, minimality and exactness.  Exactness is checked at the k-linear
 level: d_n is tiled from one block of w -> w . e per band element e, built
 once per context, and the augmentation is a single tile.
+
+A rewritten column depends on n and i only through their parities, so a
+context builds it once per parity class and every degree shares its band
+elements; the general form is built degree by degree.
 """
 
 from __future__ import annotations
@@ -170,7 +174,8 @@ def differential(A: QuantumCompleteIntersection, n: int, variant: str = GENERAL)
     """Entries {(j, i): EnvElement} of d_n in the requested variant.
 
     Cached on the algebra context, so every caller shares one read-only view
-    of the entry dict.
+    of the entry dict.  The columns of a rewritten variant are shared per
+    parity class (see the module docstring).
     """
     if n < 1:
         raise ValueError("differentials start in degree 1")
@@ -181,15 +186,16 @@ def differential(A: QuantumCompleteIntersection, n: int, variant: str = GENERAL)
     if variant not in (GENERAL, SIMPLIFIED_A2, SIMPLIFIED_A3):
         raise VariantError(f"unknown variant {variant!r}")
 
+    def column(i):
+        if variant == GENERAL:
+            return _general_column(A, n, i)
+        rewrite = _simplified_a2_column if variant == SIMPLIFIED_A2 else _simplified_a3_column
+        return A.cached(("column", variant, n % 2, i % 2), lambda: rewrite(A, n, i))
+
     def build():
-        column = {
-            GENERAL: _general_column,
-            SIMPLIFIED_A2: _simplified_a2_column,
-            SIMPLIFIED_A3: _simplified_a3_column,
-        }[variant]
         entries = {}
         for i in range(n + 1):
-            diag, sub = column(A, n, i)
+            diag, sub = column(i)
             if i <= n - 1 and diag:
                 entries[(i, i)] = diag
             if i - 1 >= 0 and sub:
@@ -200,9 +206,16 @@ def differential(A: QuantumCompleteIntersection, n: int, variant: str = GENERAL)
 
 
 def preferred_variant(A: QuantumCompleteIntersection) -> str:
+    """The rewritten variant when q^a = 1, else the general form.
+
+    The a = 2 rewrite assumes q = -1; at q = 1 it differs from the general
+    form from degree 2 on, so that context keeps the general form.
+    """
     if not A.is_root_of_unity:
         return GENERAL
-    return SIMPLIFIED_A2 if A.a == 2 else SIMPLIFIED_A3
+    if A.a == 2:
+        return GENERAL if A.q == A.field.one() else SIMPLIFIED_A2
+    return SIMPLIFIED_A3
 
 
 def compose(outer: dict, inner: dict, products: dict | None = None) -> dict:

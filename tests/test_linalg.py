@@ -170,6 +170,38 @@ def test_tiled_places_blocks_and_rejects_overlap_and_overflow():
         SparseMatrix.tiled(3, 4, [(2, 2, block)], R)
 
 
+def test_tiled_checks_each_fresh_block_where_it_is_placed():
+    # each dict is dropped once tiled has moved past it, so the id of the
+    # first may come back for the third
+    def tiles(offsets, values):
+        for offset, v in zip(offsets, values):
+            yield offset, offset, {(0, 0): R.from_int(v), (1, 1): R.from_int(v + 1)}
+
+    m = SparseMatrix.tiled(6, 6, tiles((0, 2, 4), (1, 3, 5)), R)
+    assert m.entries == {(k, k): R.from_int(k + 1) for k in range(6)}
+    with pytest.raises(ValueError, match=re.escape(f"entry {(5, 5)} outside a 5x6 matrix")):
+        SparseMatrix.tiled(5, 6, tiles((0, 2, 4), (1, 1, 1)), R)
+
+
+class CountingBlock(dict):
+    reads = 0
+
+    def items(self):
+        self.reads += 1
+        return super().items()
+
+
+def test_tiled_drops_the_zeros_of_a_shared_block_once():
+    zero, one, two = R.zero(), R.one(), R.from_int(2)
+    block = CountingBlock({(0, 0): one, (0, 1): zero, (1, 1): two})
+    tiles = [(0, 0, block), (2, 1, block), (0, 3, block)]
+    m = SparseMatrix.tiled(4, 5, tiles, R)
+    assert block.reads == 1
+    placed = {(r + i, c + j): v for r, c, b in tiles for (i, j), v in dict.items(b)}
+    assert m.entries == SparseMatrix(4, 5, placed, R).entries
+    assert len(m.entries) == 6 and zero not in m.entries.values()
+
+
 @pytest.mark.parametrize("coord", [2, -1])
 def test_subspace_rejects_coordinates_outside_the_ambient(coord):
     with pytest.raises(ValueError, match=f"coordinate {coord} "):

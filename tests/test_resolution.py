@@ -16,10 +16,13 @@ from qci_hochschild.resolution import (
     VariantError,
     _linear_augmentation,
     _linear_differential,
+    _simplified_a2_column,
+    _simplified_a3_column,
     a2_band_elements,
     beta_element,
     compose,
     differential,
+    preferred_variant,
     pull_back,
     structure_element,
     verify_resolution,
@@ -133,6 +136,35 @@ def test_variants_agree_entrywise(a):
     variant = SIMPLIFIED_A2 if a == 2 else SIMPLIFIED_A3
     for n in range(1, 13):
         assert differential(A, n, GENERAL) == differential(A, n, variant)
+
+
+@pytest.mark.parametrize("a", (2, 3, 4, 5, 6))
+def test_preferred_variant_agrees_with_general_at_every_root(a):
+    # q = zeta^k for every k, q = 1 included: q^a = 1 holds for each
+    F = cyclotomic_field(a)
+    for k in range(a):
+        A = QuantumCompleteIntersection(a, F, q=F.root ** k)
+        variant = preferred_variant(A)
+        for n in range(1, 7):
+            assert differential(A, n, variant) == differential(A, n, GENERAL), (k, n)
+
+
+@pytest.mark.parametrize("backend", ("cyclotomic", "prime"))
+@pytest.mark.parametrize("a", (2, 3, 4, 5, 6, 7))
+def test_rewritten_columns_are_shared_per_parity(a, backend):
+    A = make(a, backend)
+    variant = preferred_variant(A)
+    rewrite = _simplified_a2_column if variant == SIMPLIFIED_A2 else _simplified_a3_column
+    band_elements = set()
+    for n in range(1, 13):
+        d = differential(A, n, variant)
+        general = differential(A, n, GENERAL)
+        assert d.keys() == general.keys(), n
+        for (j, i), env in d.items():
+            assert env == rewrite(A, n, i)[i - j] == general[(j, i)], (n, j, i)
+            band_elements.add(id(env))
+    # held by the cached differentials, so no id is reused
+    assert len(band_elements) <= 8
 
 
 def test_general_arguments_reduce_to_zero_or_one():
