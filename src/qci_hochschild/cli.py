@@ -80,11 +80,8 @@ def make_algebra(args) -> QuantumCompleteIntersection:
     return QuantumCompleteIntersection(args.a, make_field(backend, args.a))
 
 
-def emit(obj, fmt: str = "json"):
-    if fmt == "json":
-        print(json.dumps(obj, sort_keys=True, indent=2))
-    else:
-        print(obj)
+def emit(obj):
+    print(json.dumps(obj, sort_keys=True, indent=2))
 
 
 def certificate(suite: str, config: dict, checks: list) -> dict:

@@ -8,13 +8,15 @@ zero entries are not stored.  Each context caches one read-only view of it
 per degree and variant.  Module maps compose through compose and pull_back
 on these dicts.
 
-Three variants are available: the general closed form valid for any nonzero
-q, and the two rewritten forms (one for a = 2 with its sign pattern, one for
-a >= 3 with arguments reduced to 0 or 1) that apply when q has order a.  The
-variants agree entry-wise, and verify_resolution checks this along with
-d . d = 0, minimality and exactness.  Exactness is checked at the k-linear
-level: d_n is tiled from one block of w -> w . e per band element e, built
-once per context, and the augmentation is a single tile.
+Two forms are available: the general closed form valid for any nonzero q,
+and one rewrite with the structure arguments reduced to 0 or 1, valid for
+every a >= 2 when q^a = 1 (at a = 2, q = -1 it is the alpha/beta sign
+pattern).  The rewrite goes by the variant name simplified-a2 at a = 2 and
+simplified-a3plus at a >= 3.  The two forms agree entry-wise, and
+verify_resolution checks this along with d . d = 0, minimality and
+exactness.  Exactness is checked at the k-linear level: d_n is tiled from
+one block of w -> w . e per band element e, built once per context, and the
+augmentation is a single tile.
 
 A rewritten column depends on n and i only through their parities, so a
 context builds it once per parity class and every degree shares its band
@@ -36,12 +38,14 @@ class OrderError(ValueError):
 
 
 class VariantError(ValueError):
-    """Differential variant incompatible with the algebra order."""
+    """Differential variant incompatible with the algebra's order a or its q."""
 
 
 GENERAL = "general"
 SIMPLIFIED_A2 = "simplified-a2"
 SIMPLIFIED_A3 = "simplified-a3plus"
+# the one rewrite's two names and the orders each admits
+_REWRITE_ORDERS = {SIMPLIFIED_A2: "a = 2", SIMPLIFIED_A3: "a >= 3"}
 
 TAU_X = "tau_x"
 TAU_Y = "tau_y"
@@ -77,16 +81,16 @@ def structure_element(A: QuantumCompleteIntersection, kind: str, s: int) -> EnvE
 
 
 def beta_element(A: QuantumCompleteIntersection, axis: str, s: int) -> EnvElement:
-    """Weighted halves of gamma, defined for a >= 3:
+    """Weighted halves of gamma, defined for a >= 2:
 
     beta_x(s) = sum_i c_i q^(si) (x^(a-2-i) (x) x^i)
     beta_y(s) = sum_i c_i q^(si) (y^i (x) y^(a-2-i))
+
+    At a = 2, c = (1), so both are 1 (x) 1 for every s.
     """
     from .scalars import c_sequence
 
     a = A.a
-    if a < 3:
-        raise OrderError("beta elements need a >= 3; for a = 2 use the alpha/beta pair")
     c = c_sequence(a, A.q)
     terms = {}
     for i in range(a - 1):
@@ -98,18 +102,6 @@ def beta_element(A: QuantumCompleteIntersection, axis: str, s: int) -> EnvElemen
         else:
             raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
     return A.env(terms)
-
-
-def a2_band_elements(A: QuantumCompleteIntersection):
-    """The a = 2 rewrite: beta_y, beta_x, alpha_y, alpha_x."""
-    if A.a != 2:
-        raise OrderError("the alpha/beta rewrite is specific to a = 2")
-    one = A.field.one()
-    beta_y = A.env({((0, 0), (1, 0)): one, ((1, 0), (0, 0)): one})
-    beta_x = A.env({((0, 0), (0, 1)): one, ((0, 1), (0, 0)): one})
-    alpha_y = A.env({((0, 0), (1, 0)): one, ((1, 0), (0, 0)): -one})
-    alpha_x = A.env({((0, 0), (0, 1)): one, ((0, 1), (0, 0)): -one})
-    return beta_y, beta_x, alpha_y, alpha_x
 
 
 def _half(n: int) -> int:
@@ -140,15 +132,7 @@ def _general_column(A, n, i):
     return diag, sub
 
 
-def _simplified_a2_column(A, n, i):
-    beta_y, beta_x, alpha_y, alpha_x = a2_band_elements(A)
-    sign = A.field.one() if i % 2 == 0 else -A.field.one()
-    if n % 2 == 0:
-        return beta_y.scale(sign), beta_x.scale(sign)
-    return alpha_y.scale(sign), alpha_x.scale(-sign)
-
-
-def _simplified_a3_column(A, n, i):
+def _rewritten_column(A, n, i):
     if n % 2 == 0:
         if i % 2 == 0:
             return (
@@ -179,18 +163,17 @@ def differential(A: QuantumCompleteIntersection, n: int, variant: str = GENERAL)
     """
     if n < 1:
         raise ValueError("differentials start in degree 1")
-    if variant == SIMPLIFIED_A2 and A.a != 2:
-        raise VariantError("simplified-a2 requires a = 2")
-    if variant == SIMPLIFIED_A3 and A.a < 3:
-        raise VariantError("simplified-a3plus requires a >= 3")
-    if variant not in (GENERAL, SIMPLIFIED_A2, SIMPLIFIED_A3):
+    if variant not in (GENERAL, *_REWRITE_ORDERS):
         raise VariantError(f"unknown variant {variant!r}")
+    if variant != GENERAL and variant != _rewrite_name(A.a):
+        raise VariantError(f"{variant} requires {_REWRITE_ORDERS[variant]}")
+    if variant != GENERAL and not A.is_root_of_unity:
+        raise VariantError(f"{variant} requires q^a = 1")
 
     def column(i):
         if variant == GENERAL:
             return _general_column(A, n, i)
-        rewrite = _simplified_a2_column if variant == SIMPLIFIED_A2 else _simplified_a3_column
-        return A.cached(("column", variant, n % 2, i % 2), lambda: rewrite(A, n, i))
+        return A.cached(("column", n % 2, i % 2), lambda: _rewritten_column(A, n, i))
 
     def build():
         entries = {}
@@ -205,17 +188,14 @@ def differential(A: QuantumCompleteIntersection, n: int, variant: str = GENERAL)
     return A.cached(("diff", n, variant), build)
 
 
-def preferred_variant(A: QuantumCompleteIntersection) -> str:
-    """The rewritten variant when q^a = 1, else the general form.
+def _rewrite_name(a: int) -> str:
+    return SIMPLIFIED_A2 if a == 2 else SIMPLIFIED_A3
 
-    The a = 2 rewrite assumes q = -1; at q = 1 it differs from the general
-    form from degree 2 on, so that context keeps the general form.
-    """
-    if not A.is_root_of_unity:
-        return GENERAL
-    if A.a == 2:
-        return GENERAL if A.q == A.field.one() else SIMPLIFIED_A2
-    return SIMPLIFIED_A3
+
+def preferred_variant(A: QuantumCompleteIntersection) -> str:
+    """The rewrite, under its name for this order, exactly when q^a = 1;
+    else the general form."""
+    return _rewrite_name(A.a) if A.is_root_of_unity else GENERAL
 
 
 def compose(outer: dict, inner: dict, products: dict | None = None) -> dict:

@@ -10,8 +10,9 @@ elements:
     eps_x = -beta_x(0)                  (s odd, i even, j odd)
     eps_y = -beta_y(0)                  (s odd, i odd, j even)
 
-and 1 everywhere else.  At a = 2 the same rule holds with the factors
-1, -1, -1: the bare convolution with an alternating sign in odd levels.
+and 1 everywhere else.  At a = 2, where c = (1) and both beta elements are
+1 (x) 1, the factors are 1, -1, -1: the bare convolution with an
+alternating sign in odd levels.
 
 verify_lifting checks each square d_s h_s = h_(s-1) d_(2t+s) as an equality
 of two module maps, both sides built by resolution.compose, and the base
@@ -100,19 +101,14 @@ def _lifted_values(values) -> list:
 def _correction_factors(A: QuantumCompleteIntersection) -> dict:
     """Factor of entry (j, i) of h_s by the parities (s, i, j); 1 when absent.
 
-    Built once per context.  At a = 2, where c = (1), the beta formulas give
-    1, -1, -1; beta_element keeps its OrderError there, so they are spelled
-    out.
+    Built once per context from the beta elements for every a >= 2; at
+    a = 2 they give 1, -1, -1.
     """
 
     def build():
-        one = A.env_one()
-        if A.a < 3:
-            omega_plus, eps_x, eps_y = one, -one, -one
-        else:
-            omega_plus = beta_element(A, "x", -1) * beta_element(A, "y", 1)
-            eps_x = -beta_element(A, "x", 0)
-            eps_y = -beta_element(A, "y", 0)
+        omega_plus = beta_element(A, "x", -1) * beta_element(A, "y", 1)
+        eps_x = -beta_element(A, "x", 0)
+        eps_y = -beta_element(A, "y", 0)
         return {(0, 0, 1): omega_plus, (1, 0, 1): eps_x, (1, 1, 0): eps_y}
 
     return A.cached(("lifting factors",), build)

@@ -411,6 +411,13 @@ def test_rational_backend_without_root_is_usage_error(capsys):
     assert "the rationals contain no primitive root of order 3" in capsys.readouterr().err
 
 
+def test_dump_resolution_variant_for_another_order_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["dump-resolution", "--a", "3", "--variant", "simplified-a2"])
+    assert exc.value.code == 2
+    assert "simplified-a2 requires a = 2" in capsys.readouterr().err
+
+
 def test_backend_env_default(capsys, monkeypatch):
     monkeypatch.setenv(cli.ENV_BACKEND, "prime")
     code, out = run(capsys, "dims", "--a", "3", "--max-degree", "2")
@@ -479,6 +486,14 @@ GOLDEN_STDOUT = {
         "5fdb8df4cb3486df8895337d1dfaba9479c7d60e6626786b82eb31482004e113",
     "dump-resolution --a 2 --backend rational --max-degree 3":
         "df35a8ea387024b8fa17b856cf7f4cb74683a48d54cc63ec0ade114c9639628a",
+    "dump-resolution --a 2 --backend cyclotomic --variant simplified-a2":
+        "95209c3b36aa17b5210f069fc2c9087edceae50b3fe38b41019b418a7fab01d3",
+    "dump-resolution --a 2 --backend prime --variant simplified-a2":
+        "1ce4820148e32caea541bce9ab63b5f8d8f2a33864a00ac688ca7895391590c6",
+    "dump-resolution --a 3 --backend cyclotomic --variant simplified-a3plus":
+        "551568a9eae2ad7d13aa77c64043c29b07e11ca5aa292b0fd4267b5ede592a57",
+    "dump-resolution --a 2 --backend cyclotomic --variant general":
+        "95209c3b36aa17b5210f069fc2c9087edceae50b3fe38b41019b418a7fab01d3",
     "oracle --a 2 --max-degree 2":
         "04f74ec8d3893a1beea28ff6968e6081af501f1d60ef81a5a657bbc80d6a7989",
     "oracle --a 3 --max-degree 1":

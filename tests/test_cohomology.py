@@ -20,7 +20,7 @@ from qci_hochschild.cohomology import (
     standard_basis,
 )
 from qci_hochschild.linalg import SparseMatrix, _rref
-from qci_hochschild.resolution import GENERAL, differential, preferred_variant
+from qci_hochschild.resolution import SIMPLIFIED_A2, differential, preferred_variant
 from qci_hochschild.scalars import cyclotomic_field, k_sum, prime_field_for, rational_field
 
 
@@ -128,12 +128,12 @@ def test_routes_agree_and_match_formula(a, backend):
 
 @pytest.mark.parametrize("field", [cyclotomic_field(2), prime_field_for(2)], ids=repr)
 def test_routes_agree_at_a2_with_q_one(field):
-    # q = 1 has q^2 = 1, but the a = 2 rewrite assumes q = -1; taking it
-    # there made the Hom route read 4, 3, 7, 7, 11 against 4, 4, 5, 6, 7
+    # q = 1 has q^2 = 1, so the Hom route takes the one rewrite, which holds
+    # at every root; an alpha/beta form that assumed q = -1 read 4, 3, 7, 7, 11
     A = QuantumCompleteIntersection(2, field, q=1)
     ext = [hh_dimension_ext(A, n) for n in range(5)]
     assert ext == [hh_dimension_tor(A, n) for n in range(5)] == [4, 4, 5, 6, 7]
-    assert preferred_variant(A) == GENERAL
+    assert preferred_variant(A) == SIMPLIFIED_A2
 
 
 def test_rank_backend_independence():

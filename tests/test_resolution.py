@@ -12,13 +12,10 @@ from qci_hochschild.resolution import (
     SIMPLIFIED_A3,
     TAU_X,
     TAU_Y,
-    OrderError,
     VariantError,
     _linear_augmentation,
     _linear_differential,
-    _simplified_a2_column,
-    _simplified_a3_column,
-    a2_band_elements,
+    _rewritten_column,
     beta_element,
     compose,
     differential,
@@ -35,6 +32,29 @@ def make(a, backend="cyclotomic"):
     return QuantumCompleteIntersection(a, field)
 
 
+# the three backends at a = 2, each with q = -1
+A2_FIELDS = [rational_field(2), cyclotomic_field(2), prime_field_for(2)]
+
+
+def alpha_beta_pair(A):
+    """The paper's a = 2 band elements: beta_y, beta_x, alpha_y, alpha_x."""
+    one = A.field.one()
+    beta_y = A.env({((0, 0), (1, 0)): one, ((1, 0), (0, 0)): one})
+    beta_x = A.env({((0, 0), (0, 1)): one, ((0, 1), (0, 0)): one})
+    alpha_y = A.env({((0, 0), (1, 0)): one, ((1, 0), (0, 0)): -one})
+    alpha_x = A.env({((0, 0), (0, 1)): one, ((0, 1), (0, 0)): -one})
+    return beta_y, beta_x, alpha_y, alpha_x
+
+
+def alpha_beta_column(A, n, i):
+    """Column i of d_n in the paper's a = 2, q = -1 sign pattern."""
+    beta_y, beta_x, alpha_y, alpha_x = alpha_beta_pair(A)
+    sign = A.field.one() if i % 2 == 0 else -A.field.one()
+    if n % 2 == 0:
+        return beta_y.scale(sign), beta_x.scale(sign)
+    return alpha_y.scale(sign), alpha_x.scale(-sign)
+
+
 # -- structure elements ---------------------------------------------------------
 
 def test_tau_y_at_zero():
@@ -44,11 +64,13 @@ def test_tau_y_at_zero():
 
 
 def test_gamma_specializes_to_a2_beta():
-    A = make(2)
-    beta_y, beta_x, _, _ = a2_band_elements(A)
-    for s in (0, 2, 4):
-        assert structure_element(A, GAMMA_Y, s) == beta_y
-        assert structure_element(A, GAMMA_X, s) == beta_x
+    for field in A2_FIELDS:
+        A = QuantumCompleteIntersection(2, field)
+        beta_y, beta_x, _, _ = alpha_beta_pair(A)
+        for s in (0, 2, 4):
+            assert structure_element(A, GAMMA_Y, s) == beta_y
+            assert structure_element(A, GAMMA_X, s) == beta_x
+        assert _rewritten_column(A, 2, 0) == (beta_y, beta_x)
 
 
 def test_gamma_term_count_and_radical():
@@ -84,8 +106,10 @@ def test_beta_term_count_and_order_error():
         A = make(a)
         assert len(beta_element(A, "x", 1).terms) == a - 1
         assert len(beta_element(A, "y", -1).terms) == a - 1
-    with pytest.raises(OrderError):
-        beta_element(make(2), "x", 0)
+    # at a = 2, c = (1), so beta is the unit of A (x) A^op on both axes
+    A = make(2)
+    for s in (-1, 0, 1, 2):
+        assert beta_element(A, "x", s) == A.env_one() == beta_element(A, "y", s)
 
 
 def test_beta_y_kills_unit():
@@ -108,17 +132,22 @@ def test_degree_one_columns():
 
 
 def test_a2_sign_pattern():
-    A = make(2)
-    beta_y, beta_x, alpha_y, alpha_x = a2_band_elements(A)
-    d2 = differential(A, 2, SIMPLIFIED_A2)
-    assert d2.get((1, 1)) == -beta_y
-    assert d2.get((0, 1)) == -beta_x
-    assert d2.get((0, 0)) == beta_y
-    d3 = differential(A, 3, SIMPLIFIED_A2)
-    assert d3.get((0, 0)) == alpha_y
-    assert d3.get((0, 1)) == alpha_x
-    assert d3.get((1, 1)) == -alpha_y
-    assert d3.get((1, 2)) == -alpha_x
+    for field in A2_FIELDS:
+        A = QuantumCompleteIntersection(2, field)
+        beta_y, beta_x, alpha_y, alpha_x = alpha_beta_pair(A)
+        d2 = differential(A, 2, SIMPLIFIED_A2)
+        assert d2.get((1, 1)) == -beta_y
+        assert d2.get((0, 1)) == -beta_x
+        assert d2.get((0, 0)) == beta_y
+        d3 = differential(A, 3, SIMPLIFIED_A2)
+        assert d3.get((0, 0)) == alpha_y
+        assert d3.get((0, 1)) == alpha_x
+        assert d3.get((1, 1)) == -alpha_y
+        assert d3.get((1, 2)) == -alpha_x
+        # the one rewrite is the alpha/beta pattern entry for entry
+        for n in range(1, 9):
+            for i in range(n + 1):
+                assert _rewritten_column(A, n, i) == alpha_beta_column(A, n, i), (field, n, i)
 
 
 def test_variant_preconditions():
@@ -128,6 +157,18 @@ def test_variant_preconditions():
         differential(make(2), 2, SIMPLIFIED_A3)
     with pytest.raises(VariantError):
         differential(make(2), 2, "nonsense")
+
+
+@pytest.mark.parametrize("a, variant", [(2, SIMPLIFIED_A2), (3, SIMPLIFIED_A3)])
+def test_rewrite_needs_q_to_the_a_equal_to_one(a, variant):
+    # at q = 2 over the rationals the rewrite's entries are not the
+    # resolution's (at a = 3 they differ from degree 3 on), so it is refused
+    R = rational_field(1)
+    A = QuantumCompleteIntersection(a, R, q=2)
+    with pytest.raises(VariantError, match="q\\^a = 1"):
+        differential(A, 3, variant)
+    assert preferred_variant(A) == GENERAL
+    assert verify_resolution(A, 4).ok
 
 
 @pytest.mark.parametrize("a", (2, 3, 4, 5, 6))
@@ -154,14 +195,13 @@ def test_preferred_variant_agrees_with_general_at_every_root(a):
 def test_rewritten_columns_are_shared_per_parity(a, backend):
     A = make(a, backend)
     variant = preferred_variant(A)
-    rewrite = _simplified_a2_column if variant == SIMPLIFIED_A2 else _simplified_a3_column
     band_elements = set()
     for n in range(1, 13):
         d = differential(A, n, variant)
         general = differential(A, n, GENERAL)
         assert d.keys() == general.keys(), n
         for (j, i), env in d.items():
-            assert env == rewrite(A, n, i)[i - j] == general[(j, i)], (n, j, i)
+            assert env == _rewritten_column(A, n, i)[i - j] == general[(j, i)], (n, j, i)
             band_elements.add(id(env))
     # held by the cached differentials, so no id is reused
     assert len(band_elements) <= 8
@@ -341,6 +381,14 @@ def test_verify_resolution_a3():
 def test_verify_resolution_prime_backend():
     report = verify_resolution(make(3, backend="prime"), 6)
     assert report.ok, report.failures()
+
+
+@pytest.mark.parametrize("field", [cyclotomic_field(2), prime_field_for(2)], ids=repr)
+def test_verify_resolution_a2_with_q_one(field):
+    # q = 1 has q^2 = 1, so the rewrite is the preferred variant there too
+    report = verify_resolution(QuantumCompleteIntersection(2, field, q=1), 6)
+    assert report.ok, report.failures()
+    assert report.status("simplified variant agrees with general form")
 
 
 def test_verify_reports_content():

@@ -7,6 +7,7 @@ from qci_hochschild.scalars import cyclotomic_field, prime_field_for, rational_f
 from qci_hochschild.yoneda import (
     NonScalarError,
     TableMismatchError,
+    _correction_factors,
     build_lifting,
     nilpotency_witness,
     reduced_ring_table,
@@ -133,6 +134,13 @@ def test_correction_factors_built_once_per_context(monkeypatch):
     build_lifting(make(3), unit_values(A, 2, 0), 2)
     assert len(calls) == 8  # a new context builds its own
 
+
+@pytest.mark.parametrize("field", [rational_field(2), cyclotomic_field(2), prime_field_for(2)], ids=repr)
+def test_correction_factors_at_a2_are_one_and_minus_one(field):
+    # the beta elements are 1 (x) 1 at a = 2, so the one rule gives 1, -1, -1
+    A = QuantumCompleteIntersection(2, field)
+    one = A.env_one()
+    assert _correction_factors(A) == {(0, 0, 1): one, (1, 0, 1): -one, (1, 1, 0): -one}
 
 
 def test_each_distinct_pair_is_multiplied_once_per_check(monkeypatch):
